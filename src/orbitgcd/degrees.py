@@ -26,8 +26,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy
-
 from . import ffield, poly, projgeom
 from .ffield import Uni
 from .projgeom import ProjPoint, RationalMap
@@ -438,6 +436,8 @@ def monomial_dyn_degrees(A: "MonomialMap | Sequence[Sequence[int]]") -> List[flo
     Roots come from numpy's companion-matrix eigenvalues and are
     cross-checked against the exact determinant and trace.
     """
+    import numpy  # deferred: the only numpy use, and most of the import time
+
     mono = A if isinstance(A, MonomialMap) else make_monomial_map(A)
     matrix = mono.matrix
     n = mono.size

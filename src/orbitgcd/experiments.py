@@ -477,14 +477,23 @@ def run_scenario(config: ScenarioConfig, name: str = "custom",
     fiber = None
     if config.primes and config.targets_per_prime > 0:
         if config.arity == 3:
-            fiber = degrees.topological_degree_ff(
-                f, config.primes, config.targets_per_prime, rng=rng)
-            if fiber.ambiguous:
-                flags.append("fiber-count mode ambiguous: candidates %s"
-                             % ", ".join(map(str, fiber.modes)))
-            if fiber.degenerate:
-                flags.append("fiber counting degenerate "
-                             "(map may fail to be dominant)")
+            # an eliminant interpolates through up to d^2 + 1 points of F_p
+            primes = []
+            for p in config.primes:
+                if p > deg * deg + 1:
+                    primes.append(p)
+                else:
+                    flags.append("fiber counting skipped prime %d: too small "
+                                 "for the degree-%d map" % (p, deg))
+            if primes:
+                fiber = degrees.topological_degree_ff(
+                    f, primes, config.targets_per_prime, rng=rng)
+                if fiber.ambiguous:
+                    flags.append("fiber-count mode ambiguous: candidates %s"
+                                 % ", ".join(map(str, fiber.modes)))
+                if fiber.degenerate:
+                    flags.append("fiber counting degenerate "
+                                 "(map may fail to be dominant)")
         else:
             advisories.append("fiber counting skipped: implemented for "
                               "3 coordinates only")

@@ -24,14 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 Exponent = Tuple[int, ...]
 TermMap = Dict[Exponent, int]
 
-# Fixed substitution primes for the modular coprimality certificate used by
-# gcd_multivar.  Both are prime; the test suite re-verifies that claim.
-_CERT_PRIMES = (2305843009213693951, 1000000000000000009)
-
-# Kronecker images denser than this are not worth materializing; fall back
-# to the exact algorithm instead.
-_KRONECKER_LIMIT = 2_000_000
-
 
 class ArityMismatch(ValueError):
     """Operands live in polynomial rings with different variable counts."""
@@ -354,58 +346,6 @@ def primitive_part(p: BigPoly) -> BigPoly:
     return _normalize_sign(result)
 
 
-def _kronecker_coprime(p: BigPoly, q: BigPoly) -> bool:
-    """Modular certificate that gcd(p, q) has no non-constant part.
-
-    Maps x_i -> t^{s_i} with radix weights that keep distinct monomials
-    distinct, reduces both images mod a large prime, and takes a univariate
-    gcd.  A constant image gcd proves the true gcd is constant, up to the
-    (astronomically unlikely) event that the prime divides the leading
-    structure of the actual gcd; two independent primes are used.  A
-    non-constant image gcd is inconclusive and reported as False.
-    """
-    maxes = [0] * p.arity
-    for poly in (p, q):
-        for exps in poly.terms:
-            for i, e in enumerate(exps):
-                if e > maxes[i]:
-                    maxes[i] = e
-    weights = [1] * p.arity
-    acc = 1
-    for i in range(p.arity):
-        weights[i] = acc
-        acc *= maxes[i] + 1
-        if acc > _KRONECKER_LIMIT:
-            return False
-
-    def image_gcd(prime: int) -> int:
-        def image(poly: BigPoly) -> List[int]:
-            dense = [0] * acc
-            for exps, coeff in poly.terms.items():
-                idx = sum(w * e for w, e in zip(weights, exps))
-                dense[idx] = (dense[idx] + coeff) % prime
-            while dense and dense[-1] == 0:
-                dense.pop()
-            return dense
-
-        a, b = image(p), image(q)
-        while b:
-            # univariate remainder mod prime
-            db = len(b) - 1
-            inv = pow(b[-1], prime - 2, prime)
-            while len(a) - 1 >= db and a:
-                k = len(a) - 1 - db
-                c = (a[-1] * inv) % prime
-                for i, bc in enumerate(b):
-                    a[i + k] = (a[i + k] - c * bc) % prime
-                while a and a[-1] == 0:
-                    a.pop()
-            a, b = b, a
-        return len(a) - 1  # degree of the univariate gcd
-
-    return all(image_gcd(prime) == 0 for prime in _CERT_PRIMES)
-
-
 def _present_variables(p: BigPoly, q: BigPoly) -> List[int]:
     present = [False] * p.arity
     for poly in (p, q):
@@ -549,12 +489,10 @@ def _gcd_exact(p: BigPoly, q: BigPoly) -> BigPoly:
 def gcd_multivar(p: BigPoly, q: BigPoly) -> BigPoly:
     """Primitive gcd in Z[x0..xN], leading coefficient positive.
 
-    A layered strategy: trivial and single-term cases are dispatched
-    directly, a shared monomial factor is split off, a modular Kronecker
-    projection certifies coprimality cheaply, and only then does the exact
-    primitive-PRS recursion run.  Every non-constant candidate is verified
-    by exact division of both inputs, falling back to the exact algorithm
-    if verification fails.
+    Zero, equal and single-term operands are dispatched directly.
+    Otherwise the shared monomial factor is split off and the rest comes
+    from the exact primitive-PRS recursion.  The result is verified by
+    exact division of both inputs.
     """
     _check_arity(p, q)
     if not p.terms:
@@ -567,25 +505,12 @@ def gcd_multivar(p: BigPoly, q: BigPoly) -> BigPoly:
     shift_p, shift_q = _min_exponents(p), _min_exponents(q)
     shift = tuple(min(a, b) for a, b in zip(shift_p, shift_q))
     ps, qs = _shift_down(p, shift_p), _shift_down(q, shift_q)
-
-    if len(p.terms) == 1 or len(q.terms) == 1:
-        # gcd with a monomial is the shared monomial factor
-        return monomial(p.arity, shift, 1)
-
     mono = monomial(p.arity, shift, 1)
     if degree(ps) == 0 or degree(qs) == 0:
+        # a monomial operand shares only the monomial factor
         return mono
 
-    candidate: Optional[BigPoly] = None
-    if _kronecker_coprime(primitive_part(ps), primitive_part(qs)):
-        candidate = mono
-    else:
-        candidate = _normalize_sign(mul(mono, _gcd_exact(ps, qs)))
-
-    if div_exact(p, candidate) is not None and div_exact(q, candidate) is not None:
-        return candidate
-    # certificate misfired; redo with the exact path only
-    exact = _normalize_sign(mul(mono, _gcd_exact(ps, qs)))
-    if div_exact(p, exact) is None or div_exact(q, exact) is None:
+    g = _normalize_sign(mul(mono, _gcd_exact(ps, qs)))
+    if div_exact(p, g) is None or div_exact(q, g) is None:
         raise AssertionError("gcd candidate fails exact division")
-    return exact
+    return g

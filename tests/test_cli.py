@@ -128,6 +128,21 @@ def test_flagged_run_without_out_still_exits_two(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == CSV_HEADER
 
 
+def test_prime_too_small_for_the_map_is_skipped_with_a_flag(tmp_path, capsys):
+    # the eliminants of a degree-8 map need p > 8^2 + 1; composition_cap 8
+    # stops the degree sequence at n = 1, which keeps the run fast
+    data = {"arity": 3,
+            "map": "x0^8 + x1*x2^7; x1^8 - x0*x2^7; x2^8 + x0*x1^7",
+            "ideal": ["x0", "x1"], "start": [3, 2, 1], "n_max": 4,
+            "primes": [53], "targets_per_prime": 2, "composition_cap": 8}
+    cfg = write_config(tmp_path, "deg8.json", data)
+    assert main(["run", "--config", cfg, "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["flags"] == [
+        "fiber counting skipped prime 53: too small for the degree-8 map"]
+    assert payload["summary"]["fiber"] is None
+
+
 def test_config_validation_failure_exits_one(tmp_path, capsys):
     bad = dict(PERIODIC_CONFIG, map="x1; x0")  # wrong component count
     cfg = write_config(tmp_path, "bad.json", bad)
