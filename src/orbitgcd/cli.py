@@ -50,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the report here instead of stdout")
     run.add_argument("--seed", type=int, default=None,
                      help="random seed (default: ORBITGCD_SEED or 0)")
-    run.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; single-threaded")
 
     deg = sub.add_parser("degrees", help="degree estimates for a map")
     deg.add_argument("--map", metavar="COMPS",
@@ -70,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fiber-count targets per prime (default 10)")
     deg.add_argument("--seed", type=int, default=None,
                      help="random seed (default: ORBITGCD_SEED or 0)")
-    deg.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; single-threaded")
     return parser
 
 

@@ -20,11 +20,12 @@ reports are reproducible from a seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ffield, poly, projgeom
 from .ffield import Uni
@@ -132,14 +133,18 @@ def _top_form_value(terms: Terms, alpha: int, gamma: int, prime: int) -> int:
     return acc
 
 
-def _specialized(terms: Terms, shear: Tuple[int, int, int, int], v0: int,
-                 prime: int) -> Uni:
-    """The chart poly at z=1, sheared x=a*u+b*v, y=g*u+d*v, then v=v0."""
+def _specialized(comps: Sequence[Terms], shear: Tuple[int, int, int, int],
+                 v0: int, prime: int) -> List[Uni]:
+    """Each poly at z=1, sheared x=a*u+b*v, y=g*u+d*v, then v=v0.
+
+    The sheared monomials x^e0 * y^e1 are computed once and shared by all
+    the polys."""
     al, be, ga, de = shear
     x_of_u: Uni = [be * v0 % prime, al]
     y_of_u: Uni = [de * v0 % prime, ga]
     pow_x: Dict[int, Uni] = {0: [1]}
     pow_y: Dict[int, Uni] = {0: [1]}
+    monos: Dict[Tuple[int, int], Uni] = {}
 
     def grab(tab: Dict[int, Uni], base: Uni, e: int) -> Uni:
         top = max(tab)
@@ -148,22 +153,35 @@ def _specialized(terms: Terms, shear: Tuple[int, int, int, int], v0: int,
             top += 1
         return tab[e]
 
-    acc: Uni = []
-    for c, (e0, e1, _) in terms:
-        t = ffield.uni_scale(
-            ffield.uni_mul(grab(pow_x, x_of_u, e0), grab(pow_y, y_of_u, e1), prime),
-            c, prime)
-        acc = ffield.uni_add(acc, t, prime)
-    return acc
+    out: List[Uni] = []
+    for terms in comps:
+        acc: Uni = []
+        for c, (e0, e1, _) in terms:
+            if (e0, e1) not in monos:
+                monos[e0, e1] = ffield.uni_mul(grab(pow_x, x_of_u, e0),
+                                               grab(pow_y, y_of_u, e1), prime)
+            term = ffield.uni_scale(monos[e0, e1], c, prime)
+            acc = ffield.uni_add(acc, term, prime)
+        out.append(acc)
+    return out
 
 
-def _eliminant(g1: Terms, g2: Terms, shear: Tuple[int, int, int, int],
+def _eliminant(g1: Terms, g2: Terms, target_ab: Tuple[int, int],
+               sheared: Callable[[int], Sequence[Uni]],
                prime: int) -> Optional[Uni]:
     """Res_u of the sheared chart equations, interpolated in v.
+
+    The chart equations g1, g2 are f_k - t_k * f_2 for the target
+    (t_0, t_1) = target_ab.  Specialization is linear in the terms, so
+    S(f_k - t_k * f_2)(u, v0) = S(f_k)(u, v0) - t_k * S(f_2)(u, v0) mod p:
+    sheared(v0) returns the three S(f_j)(u, v0) of one shear, and the
+    caller computes them once per (shear, v0) for all its eliminants.  The
+    degrees and the sample count still come from the chart terms.
 
     Returns None when the shear loses a leading coefficient or the
     resultant vanishes identically (shared factor for this target).
     """
+    a, b = target_ab
     d1, d2 = _xy_degree(g1), _xy_degree(g2)
     n_samples = d1 * d2 + 1
     if n_samples >= prime:
@@ -171,8 +189,9 @@ def _eliminant(g1: Terms, g2: Terms, shear: Tuple[int, int, int, int],
                          % (prime, d1 * d2))
     xs, ys = [], []
     for v0 in range(n_samples):
-        h1 = _specialized(g1, shear, v0, prime)
-        h2 = _specialized(g2, shear, v0, prime)
+        s0, s1, s2 = sheared(v0)
+        h1 = ffield.uni_add(s0, ffield.uni_scale(s2, -a, prime), prime)
+        h2 = ffield.uni_add(s1, ffield.uni_scale(s2, -b, prime), prime)
         if ffield.uni_deg(h1) != d1 or ffield.uni_deg(h2) != d2:
             return None
         xs.append(v0)
@@ -234,7 +253,9 @@ def geometric_fiber_count(f: RationalMap, prime: int, target_ab: Tuple[int, int]
 
     Two successful random shears are required and the larger count wins
     (a shear can only undercount, when two fiber points collide in v).
-    Returns None when no shear produced a usable eliminant.
+    Each shear specializes the three components once per sample v0, and
+    its main and auxiliary eliminants are all built from that memo (see
+    _eliminant).  Returns None when no shear produced a usable eliminant.
     """
     a, b = target_ab
     comps = [_component_terms(c, prime) for c in f.components]
@@ -259,7 +280,9 @@ def geometric_fiber_count(f: RationalMap, prime: int, target_ab: Tuple[int, int]
         if _top_form_value(g2, al, ga, prime) == 0:
             continue
         shear = (al, be, ga, de)
-        r = _eliminant(g1, g2, shear, prime)
+        sheared = functools.lru_cache(maxsize=None)(
+            functools.partial(_specialized, comps, shear, prime=prime))
+        r = _eliminant(g1, g2, target_ab, sheared, prime)
         if r is None:
             continue
         # factors shared with the eliminants of unrelated targets come from
@@ -274,7 +297,7 @@ def geometric_fiber_count(f: RationalMap, prime: int, target_ab: Tuple[int, int]
             a2 = _chart_terms(comps[1], bb, comps[2], prime)
             if not a1 or not a2 or _xy_degree(a1) == 0 or _xy_degree(a2) == 0:
                 continue
-            raux = _eliminant(a1, a2, shear, prime)
+            raux = _eliminant(a1, a2, (aa, bb), sheared, prime)
             if raux is not None:
                 clean = _strip_shared(clean, raux, prime)
                 stripped += 1
@@ -288,17 +311,15 @@ def geometric_fiber_count(f: RationalMap, prime: int, target_ab: Tuple[int, int]
 
 def topological_degree_ff(f: RationalMap, primes: Sequence[int],
                           targets_per_prime: int,
-                          rng: Optional[random.Random] = None,
-                          threads: int = 1) -> FiberCountReport:
+                          rng: Optional[random.Random] = None
+                          ) -> FiberCountReport:
     """Histogram of geometric fiber sizes over random targets; the mode
     estimates the topological degree.
 
     Targets are drawn from the affine chart (a : b : 1), which covers all
     but a null set of P^2(F_p).  Ties in the histogram are all reported
-    and flagged ambiguous.  The threads parameter is accepted for
-    interface stability; counting is fast enough single-threaded.
+    and flagged ambiguous.
     """
-    del threads
     if f.arity != 3:
         raise ValueError("fiber counting is implemented for P^2 only")
     if rng is None:

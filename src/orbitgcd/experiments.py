@@ -20,7 +20,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from . import degrees, ffield, heights, polyparse, projgeom
+from . import degrees, ffield, heights, poly, polyparse, projgeom
 from .degrees import AlphaEstimate, DegreeSequence, FiberCountReport
 from .heights import HeightValue
 from .projgeom import ProjPoint, RationalMap, SubschemeIdeal
@@ -477,14 +477,21 @@ def run_scenario(config: ScenarioConfig, name: str = "custom",
     fiber = None
     if config.primes and config.targets_per_prime > 0:
         if config.arity == 3:
-            # an eliminant interpolates through up to d^2 + 1 points of F_p
+            # an eliminant interpolates through up to d^2 + 1 points of F_p,
+            # and every component must survive reduction mod p
             primes = []
             for p in config.primes:
-                if p > deg * deg + 1:
-                    primes.append(p)
-                else:
+                wiped = [i for i, c in enumerate(f.components)
+                         if poly.content(c) % p == 0]
+                if p <= deg * deg + 1:
                     flags.append("fiber counting skipped prime %d: too small "
                                  "for the degree-%d map" % (p, deg))
+                elif wiped:
+                    flags.append("fiber counting skipped prime %d: it divides "
+                                 "every coefficient of map component %d"
+                                 % (p, wiped[0]))
+                else:
+                    primes.append(p)
             if primes:
                 fiber = degrees.topological_degree_ff(
                     f, primes, config.targets_per_prime, rng=rng)

@@ -143,16 +143,25 @@ def test_prime_too_small_for_the_map_is_skipped_with_a_flag(tmp_path, capsys):
     assert payload["summary"]["fiber"] is None
 
 
+def test_prime_dividing_a_map_component_is_skipped_with_a_flag(tmp_path, capsys):
+    # 1009 divides every coefficient of component 0, which vanishes mod 1009
+    data = {"arity": 3, "map": "1009*x0^2; x1^2; x2^2",
+            "ideal": ["x0", "x1"], "start": [3, 2, 1], "n_max": 4,
+            "primes": [1009], "targets_per_prime": 2, "composition_cap": 8}
+    cfg = write_config(tmp_path, "wipe.json", data)
+    assert main(["run", "--config", cfg, "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["flags"] == [
+        "fiber counting skipped prime 1009: it divides every coefficient "
+        "of map component 0"]
+    assert payload["summary"]["fiber"] is None
+
+
 def test_config_validation_failure_exits_one(tmp_path, capsys):
     bad = dict(PERIODIC_CONFIG, map="x1; x0")  # wrong component count
     cfg = write_config(tmp_path, "bad.json", bad)
     assert main(["run", "--config", cfg]) == 1
     assert "error:" in capsys.readouterr().err
-
-
-def test_threads_flag_is_accepted(capsys):
-    assert main(["run", "--scenario", "bcz", "--n-max", "6",
-                 "--threads", "4"]) == 0
 
 
 def test_diag_parameters_flow_through(capsys):

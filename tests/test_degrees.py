@@ -1,10 +1,13 @@
 """Degree sequences, fiber counting over F_p, monomial dynamical degrees,
 and the arithmetic-degree estimators."""
 
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitgcd import degrees, polyparse, projgeom
 from orbitgcd.degrees import (arithmetic_degree_estimate, d1_estimate,
@@ -12,7 +15,9 @@ from orbitgcd.degrees import (arithmetic_degree_estimate, d1_estimate,
                               hyperbolicity_report, monomial_dyn_degrees,
                               orbit_genericity_heuristic, rational_fiber_count,
                               topological_degree_ff)
-from orbitgcd.ffield import is_probable_prime
+from orbitgcd.ffield import (is_probable_prime, uni_add, uni_deg,
+                             uni_interpolate, uni_mul, uni_resultant,
+                             uni_scale)
 from orbitgcd.projgeom import make_map, make_point
 
 
@@ -149,6 +154,92 @@ def test_fiber_guards():
     f = pmap("53*x0^2 + 53*x1^2", "x1^2", "x2^2")
     with pytest.raises(ValueError):
         geometric_fiber_count(f, 53, (1, 1), random.Random(0))
+
+
+def test_fiber_histogram_pinned_for_a_quadratic_with_a_base_point():
+    # a seeded random quadratic with the base point (0:1:0); the histogram,
+    # the failures and the next draw of the generator were recorded before
+    # the eliminants of a shear shared their specialized components
+    f = pmap("x0^2 + x0*x1 + 3*x0*x2 - x1*x2",
+             "-x0^2 + x2^2 - 2*x0*x1 - 2*x1*x2",
+             "-2*x0^2 + 2*x0*x1 + 2*x0*x2")
+    rng = random.Random(0)
+    report = topological_degree_ff(f, [1009, 2003], 12, rng=rng)
+    assert report.by_prime == {1009: {3: 12}, 2003: {3: 12}}
+    assert report.failed_samples == 0
+    assert rng.randrange(10 ** 9) == 728549938
+
+
+def _specialized_direct(terms, shear, v0, prime):
+    """One chart poly at z=1, sheared x=a*u+b*v, y=g*u+d*v, then v=v0,
+    built term by term from repeated products."""
+    al, be, ga, de = shear
+    acc = []
+    for c, (e0, e1, _) in terms:
+        mono = [1]
+        for _ in range(e0):
+            mono = uni_mul(mono, [be * v0 % prime, al], prime)
+        for _ in range(e1):
+            mono = uni_mul(mono, [de * v0 % prime, ga], prime)
+        acc = uni_add(acc, uni_scale(mono, c, prime), prime)
+    return acc
+
+
+def _eliminant_direct(g1, g2, shear, prime):
+    """The eliminant from each chart equation specialized on its own."""
+    d1, d2 = degrees._xy_degree(g1), degrees._xy_degree(g2)
+    xs, ys = [], []
+    for v0 in range(d1 * d2 + 1):
+        h1 = _specialized_direct(g1, shear, v0, prime)
+        h2 = _specialized_direct(g2, shear, v0, prime)
+        if uni_deg(h1) != d1 or uni_deg(h2) != d2:
+            return None
+        xs.append(v0)
+        ys.append(uni_resultant(h1, h2, prime))
+    r = uni_interpolate(xs, ys, prime)
+    return r or None
+
+
+@st.composite
+def chart_cases(draw):
+    """(prime, components as terms mod p, target, shear) on random quadratic
+    and cubic P^2 maps; ga = 0 is common, so that the shear often drops the
+    u-degree of a chart equation."""
+    prime = draw(st.sampled_from([1009, 2003]))
+    deg = draw(st.sampled_from([2, 3]))
+    monos = degrees._monomial_exponents(3, deg)
+    comps = []
+    for _ in range(3):
+        support = draw(st.lists(st.sampled_from(monos), min_size=1,
+                                max_size=len(monos), unique=True))
+        comps.append([(draw(st.integers(-3, 3).filter(bool)) % prime, e)
+                      for e in support])
+    target = (draw(st.integers(0, prime - 1)), draw(st.integers(0, prime - 1)))
+    ga = draw(st.one_of(st.just(0), st.integers(0, prime - 1)))
+    shear = (draw(st.integers(1, prime - 1)), draw(st.integers(0, prime - 1)),
+             ga, draw(st.integers(1, prime - 1)))
+    return prime, comps, target, shear
+
+
+_POWER_MAP = [[(1, (2, 0, 0))], [(1, (0, 2, 0))], [(1, (0, 0, 2))]]
+# x0*x1, x0*x2, x0^2: for every target both chart equations share x0
+_SHARED_FACTOR_MAP = [[(1, (1, 1, 0))], [(1, (1, 0, 1))], [(1, (2, 0, 0))]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=chart_cases())
+@example(case=(1009, _POWER_MAP, (5, 7), (1, 0, 0, 1)))  # y^2 - 7 drops to degree 0 in u
+@example(case=(2003, _SHARED_FACTOR_MAP, (4, 9), (3, 5, 7, 11)))  # resultant vanishes
+def test_eliminant_from_shared_specialization_matches_direct(case):
+    prime, comps, (a, b), shear = case
+    g1 = degrees._chart_terms(comps[0], a, comps[2], prime)
+    g2 = degrees._chart_terms(comps[1], b, comps[2], prime)
+    if not g1 or not g2 or degrees._xy_degree(g1) == 0 \
+            or degrees._xy_degree(g2) == 0:
+        return  # geometric_fiber_count never asks for these eliminants
+    sheared = functools.partial(degrees._specialized, comps, shear, prime=prime)
+    got = degrees._eliminant(g1, g2, (a, b), sheared, prime)
+    assert got == _eliminant_direct(g1, g2, shear, prime)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,35 @@ def test_uni_resultant_against_sylvester():
         checked += 1
 
 
+def test_uni_resultant_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    p = 1009
+    rng = random.Random(31)
+    for trial in range(60):
+        f = [rng.randrange(p) for _ in range(rng.randint(1, 6))]
+        g = [rng.randrange(p) for _ in range(rng.randint(1, 6))]
+        f.append(rng.randrange(1, p))
+        g.append(rng.randrange(1, p))
+        shared = trial % 3 == 0
+        if shared:
+            root = [rng.randrange(p), 1]  # x + r divides both
+            f, g = uni_mul(f, root, p), uni_mul(g, root, p)
+        fx = sum(c * x ** i for i, c in enumerate(f))
+        gx = sum(c * x ** i for i, c in enumerate(g))
+        # sympy 1.14 drops the sign (-1)^(deg f * deg g) when deg f < deg g
+        # (resultant(x - 3, (x - 5)^3 + 1) gives 7, not -7), so ask it with
+        # the higher degree first and apply Res(f, g) = (-1)^(mn) Res(g, f)
+        if uni_deg(f) >= uni_deg(g):
+            want = int(sympy.resultant(fx, gx, x))
+        else:
+            sign = (-1) ** (uni_deg(f) * uni_deg(g))
+            want = sign * int(sympy.resultant(gx, fx, x))
+        assert uni_resultant(f, g, p) == want % p
+        if shared:
+            assert want % p == 0
+
+
 def test_uni_resultant_shared_root_vanishes():
     p = 211
     shared = [3, 1]  # x + 3
