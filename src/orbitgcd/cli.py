@@ -136,15 +136,6 @@ def _parse_matrix(text: str) -> List[List[int]]:
     return rows
 
 
-def _fiber_payload(fiber: degrees.FiberCountReport) -> dict:
-    return {"histogram": [[k, v] for k, v in sorted(fiber.histogram.items())],
-            "by_prime": {str(p): [[k, v] for k, v in sorted(h.items())]
-                         for p, h in fiber.by_prime.items()},
-            "modes": fiber.modes, "mode": fiber.mode,
-            "ambiguous": fiber.ambiguous, "degenerate": fiber.degenerate,
-            "failed_samples": fiber.failed_samples, "samples": fiber.samples}
-
-
 def cmd_degrees(args: argparse.Namespace, seed: int) -> int:
     flags: List[str] = []
     if args.matrix:
@@ -172,7 +163,7 @@ def cmd_degrees(args: argparse.Namespace, seed: int) -> int:
     if seq.truncated:
         flags.append("degree sequence truncated by the composition budget")
     payload = {"kind": "map", "map": args.map,
-               "d1_sequence": [[n, d, d ** (1.0 / n)] for n, d in seq.entries],
+               "d1_sequence": seq.with_roots(),
                "d1_estimate": degrees.d1_estimate(seq),
                "truncated": seq.truncated}
     if args.primes:
@@ -181,13 +172,15 @@ def cmd_degrees(args: argparse.Namespace, seed: int) -> int:
         except ValueError:
             raise experiments.ConfigError(
                 "primes: want comma-separated integers") from None
-        fiber = degrees.topological_degree_ff(f, primes, args.targets,
-                                              rng=random.Random(seed))
-        payload["dN_counts"] = _fiber_payload(fiber)
-        if fiber.ambiguous:
-            flags.append("fiber-count mode ambiguous")
-        if fiber.degenerate:
-            flags.append("fiber counting degenerate")
+        primes = degrees.fiber_primes(f, primes, flags)
+        if primes:
+            fiber = degrees.topological_degree_ff(f, primes, args.targets,
+                                                  rng=random.Random(seed))
+            payload["dN_counts"] = fiber.as_dict()
+            if fiber.ambiguous:
+                flags.append("fiber-count mode ambiguous")
+            if fiber.degenerate:
+                flags.append("fiber counting degenerate")
     payload["flags"] = flags
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 2 if flags else 0

@@ -101,6 +101,15 @@ class FiberCountReport:
             out[p] = _histogram_modes(hist)[0][0] if hist else None
         return out
 
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-ready form; histograms become sorted [count, frequency] pairs."""
+        return {"histogram": [[k, v] for k, v in sorted(self.histogram.items())],
+                "by_prime": {str(p): [[k, v] for k, v in sorted(h.items())]
+                             for p, h in self.by_prime.items()},
+                "modes": self.modes, "mode": self.mode,
+                "ambiguous": self.ambiguous, "degenerate": self.degenerate,
+                "failed_samples": self.failed_samples, "samples": self.samples}
+
 
 def _histogram_modes(hist: Dict[int, int]) -> List[Tuple[int, int]]:
     best = max(hist.values())
@@ -307,6 +316,33 @@ def geometric_fiber_count(f: RationalMap, prime: int, target_ab: Tuple[int, int]
     if not counts:
         return None
     return max(counts) + _line_count(comps, a, b, prime)
+
+
+def fiber_primes(f: RationalMap, primes: Sequence[int],
+                 flags: List[str]) -> List[int]:
+    """The primes that fiber counting can use for f, in order.
+
+    A prime p is skipped, with a flag appended to flags, when p <= d^2 + 1
+    (an eliminant interpolates through up to d^2 + 1 points of F_p) or
+    when p divides every coefficient of some component.  Raises
+    ValueError for a number that check_prime rejects.
+    """
+    deg = f.degree
+    usable = []
+    for p in primes:
+        ffield.check_prime(p)
+        wiped = [i for i, c in enumerate(f.components)
+                 if poly.content(c) % p == 0]
+        if p <= deg * deg + 1:
+            flags.append("fiber counting skipped prime %d: too small "
+                         "for the degree-%d map" % (p, deg))
+        elif wiped:
+            flags.append("fiber counting skipped prime %d: it divides "
+                         "every coefficient of map component %d"
+                         % (p, wiped[0]))
+        else:
+            usable.append(p)
+    return usable
 
 
 def topological_degree_ff(f: RationalMap, primes: Sequence[int],

@@ -20,9 +20,9 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from . import degrees, ffield, heights, poly, polyparse, projgeom
+from . import degrees, ffield, heights, polyparse, projgeom
 from .degrees import AlphaEstimate, DegreeSequence, FiberCountReport
-from .heights import HeightValue
+from .heights import HeightRow
 from .projgeom import ProjPoint, RationalMap, SubschemeIdeal
 
 CSV_HEADER = "n,bits,h,hY_arch,hY_gcd,hY_total,ratio"
@@ -260,15 +260,6 @@ def build_scenario(config: ScenarioConfig) -> Tuple[RationalMap, SubschemeIdeal,
 
 
 @dataclass
-class ReportRow:
-    n: int
-    bits: int
-    h: float
-    height: HeightValue
-    ratio: Optional[float]
-
-
-@dataclass
 class TrendReport:
     usable: int
     window: Optional[Tuple[int, int]]  # first and last n in the tail window
@@ -295,7 +286,7 @@ class ScenarioReport:
     name: str
     seed: int
     config: ScenarioConfig
-    rows: List[ReportRow]
+    rows: List[HeightRow]
     indeterminate_at: Optional[int]
     periodic: bool
     period_start: Optional[int]
@@ -316,7 +307,7 @@ class ScenarioReport:
 # analysis helpers
 
 
-def classify_trend(rows: Sequence[ReportRow]) -> TrendReport:
+def classify_trend(rows: Sequence[HeightRow]) -> TrendReport:
     """Call the limiting behavior of h_Y/h from the tail of the series.
 
     The call is the median of the last ceil(u/3) usable ratios (u of
@@ -400,7 +391,7 @@ def check_hypotheses(config: ScenarioConfig, alpha: Optional[AlphaEstimate],
                             verdict=verdict)
 
 
-def _closed_form_check(config: ScenarioConfig, rows: Sequence[ReportRow],
+def _closed_form_check(config: ScenarioConfig, rows: Sequence[HeightRow],
                        advisories: List[str], flags: List[str]) -> Optional[str]:
     """Row-by-row comparison against the diagonal-map closed form."""
     if config.metadata.get("closed_form") != "diagonal":
@@ -450,10 +441,7 @@ def run_scenario(config: ScenarioConfig, name: str = "custom",
     flags: List[str] = []
 
     series = heights.height_ratio_series(f, ideal, x0, config.n_max)
-    rows = []
-    for (n, h, hv, ratio), pt in zip(series.rows, series.orbit_points):
-        bits = max(c.bit_length() for c in pt.coords)
-        rows.append(ReportRow(n=n, bits=bits, h=h, height=hv, ratio=ratio))
+    rows = series.rows
     if series.indeterminate_at is not None:
         flags.append("orbit entered the indeterminacy locus at n=%d; "
                      "series truncated" % series.indeterminate_at)
@@ -477,21 +465,7 @@ def run_scenario(config: ScenarioConfig, name: str = "custom",
     fiber = None
     if config.primes and config.targets_per_prime > 0:
         if config.arity == 3:
-            # an eliminant interpolates through up to d^2 + 1 points of F_p,
-            # and every component must survive reduction mod p
-            primes = []
-            for p in config.primes:
-                wiped = [i for i, c in enumerate(f.components)
-                         if poly.content(c) % p == 0]
-                if p <= deg * deg + 1:
-                    flags.append("fiber counting skipped prime %d: too small "
-                                 "for the degree-%d map" % (p, deg))
-                elif wiped:
-                    flags.append("fiber counting skipped prime %d: it divides "
-                                 "every coefficient of map component %d"
-                                 % (p, wiped[0]))
-                else:
-                    primes.append(p)
+            primes = degrees.fiber_primes(f, config.primes, flags)
             if primes:
                 fiber = degrees.topological_degree_ff(
                     f, primes, config.targets_per_prime, rng=rng)
@@ -552,20 +526,21 @@ def _fmt(value: Optional[float]) -> str:
     return "%.12g" % value
 
 
-def _row_cells(row: ReportRow) -> List[str]:
+def _row_values(row: HeightRow) -> List[Any]:
+    """The CSV_HEADER columns of a row; the four height cells are None
+    when h_Y is infinite."""
     hv = row.height
     if hv.infinite:
-        arch = gcdp = total = ratio = ""
-    else:
-        arch, gcdp, total = _fmt(hv.arch_part), _fmt(hv.gcd_part), _fmt(hv.total)
-        ratio = _fmt(row.ratio)
-    return [str(row.n), str(row.bits), _fmt(row.h), arch, gcdp, total, ratio]
+        return [row.n, row.bits, row.h, None, None, None, None]
+    return [row.n, row.bits, row.h, hv.arch_part, hv.gcd_part, hv.total,
+            row.ratio]
 
 
 def render_csv(report: ScenarioReport) -> str:
     lines = [CSV_HEADER]
     for row in report.rows:
-        lines.append(",".join(_row_cells(row)))
+        n, bits, *floats = _row_values(row)
+        lines.append(",".join([str(n), str(bits)] + [_fmt(v) for v in floats]))
     return "\n".join(lines) + "\n"
 
 
@@ -612,17 +587,7 @@ def _summary_dict(report: ScenarioReport) -> Dict[str, Any]:
     else:
         out["alpha"] = None
         out["alpha_estimates"] = []
-    if report.fiber is not None:
-        fb = report.fiber
-        out["fiber"] = {
-            "histogram": [[k, v] for k, v in sorted(fb.histogram.items())],
-            "by_prime": {str(p): [[k, v] for k, v in sorted(h.items())]
-                         for p, h in fb.by_prime.items()},
-            "modes": fb.modes, "mode": fb.mode, "ambiguous": fb.ambiguous,
-            "degenerate": fb.degenerate, "failed_samples": fb.failed_samples,
-            "samples": fb.samples}
-    else:
-        out["fiber"] = None
+    out["fiber"] = report.fiber.as_dict() if report.fiber is not None else None
     if report.hyperbolicity is not None:
         hy = report.hyperbolicity
         out["hyperbolicity"] = {"d1": hy.d1, "d2": hy.d2, "alpha": hy.alpha,
@@ -641,24 +606,13 @@ def _summary_dict(report: ScenarioReport) -> Dict[str, Any]:
     return out
 
 
-def _json_rows(report: ScenarioReport) -> List[Dict[str, Any]]:
-    out = []
-    for row in report.rows:
-        hv = row.height
-        inf = hv.infinite
-        out.append({"n": row.n, "bits": row.bits, "h": row.h,
-                    "hY_arch": None if inf else hv.arch_part,
-                    "hY_gcd": None if inf else hv.gcd_part,
-                    "hY_total": None if inf else hv.total,
-                    "ratio": None if inf else row.ratio})
-    return out
-
-
 def render_json(report: ScenarioReport) -> str:
+    columns = CSV_HEADER.split(",")
     payload = {"scenario": report.name,
                "seed": report.seed,
                "config": report.config.to_dict(),
-               "rows": _json_rows(report),
+               "rows": [dict(zip(columns, _row_values(row)))
+                        for row in report.rows],
                "summary": _summary_dict(report),
                "flags": list(report.flags)}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .poly import BigPoly
 
@@ -56,41 +56,6 @@ def check_prime(p: int) -> int:
     if not is_probable_prime(p):
         raise ValueError("%d is not prime" % p)
     return p
-
-
-@dataclass(frozen=True)
-class FpElement:
-    """Residue in [0, p) with operator sugar; moduli must match."""
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        check_prime(self.modulus)
-        if not 0 <= self.value < self.modulus:
-            object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _match(self, other: "FpElement") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("moduli differ: %d vs %d"
-                             % (self.modulus, other.modulus))
-
-    def __add__(self, other: "FpElement") -> "FpElement":
-        self._match(other)
-        return FpElement((self.value + other.value) % self.modulus, self.modulus)
-
-    def __sub__(self, other: "FpElement") -> "FpElement":
-        self._match(other)
-        return FpElement((self.value - other.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other: "FpElement") -> "FpElement":
-        self._match(other)
-        return FpElement(self.value * other.value % self.modulus, self.modulus)
-
-    def inverse(self) -> "FpElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of 0 in F_%d" % self.modulus)
-        return FpElement(pow(self.value, self.modulus - 2, self.modulus),
-                         self.modulus)
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import poly, projgeom
-from .poly import BigPoly
-from .projgeom import OrbitResult, ProjPoint, RationalMap, SubschemeIdeal
+from .projgeom import ProjPoint, RationalMap, SubschemeIdeal
 
 
 @dataclass(frozen=True)
@@ -159,10 +158,22 @@ def multiplicatively_dependent(a: int, b: int) -> bool:
     return root_base(a) == root_base(b)
 
 
+@dataclass(frozen=True)
+class HeightRow:
+    """Heights of the orbit point f^n(x0); bits is the bit length of its
+    largest coordinate, ratio is h_Y / h (None when h = 0 or h_Y is
+    infinite)."""
+    n: int
+    bits: int
+    h: float
+    height: HeightValue
+    ratio: Optional[float]
+
+
 @dataclass
 class HeightSeries:
     """Per-iterate heights along an orbit; flags copied from the orbit."""
-    rows: List[Tuple[int, float, HeightValue, Optional[float]]]
+    rows: List[HeightRow]
     indeterminate_at: Optional[int]
     periodic: bool
     period_start: Optional[int]
@@ -171,13 +182,10 @@ class HeightSeries:
 
 def height_ratio_series(f: RationalMap, Y: SubschemeIdeal, x0: ProjPoint,
                         n_max: int) -> HeightSeries:
-    """Rows (n, h, h_Y, ratio) along the orbit of x0.
-
-    ratio is None when h = 0 or h_Y is infinite; truncation and
-    periodicity flags propagate from the orbit computation.
-    """
+    """One HeightRow per point of the orbit of x0; truncation and
+    periodicity flags propagate from the orbit computation."""
     orb = projgeom.orbit(f, x0, n_max)
-    rows: List[Tuple[int, float, HeightValue, Optional[float]]] = []
+    rows: List[HeightRow] = []
     for n, pt in enumerate(orb.points):
         h = weil_height(pt)
         hy = subscheme_height(Y, pt)
@@ -185,6 +193,7 @@ def height_ratio_series(f: RationalMap, Y: SubschemeIdeal, x0: ProjPoint,
         if h > 0.0 and not hy.infinite:
             assert hy.total is not None
             ratio = hy.total / h
-        rows.append((n, h, hy, ratio))
+        bits = max(c.bit_length() for c in pt.coords)
+        rows.append(HeightRow(n, bits, h, hy, ratio))
     return HeightSeries(rows, orb.indeterminate_at, orb.periodic,
                         orb.period_start, orb.points)

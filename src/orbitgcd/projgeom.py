@@ -19,11 +19,7 @@ from .poly import BigPoly
 
 Coords = Tuple[int, ...]
 
-
-class BudgetExceeded(RuntimeError):
-    """Iterate degree went past the configured composition budget."""
-
-
+# cap on the raw degree deg(f^n) * deg(f) of the next iterate composition
 DEFAULT_DEGREE_BUDGET = 3 ** 6
 
 
@@ -165,36 +161,6 @@ def make_map(components: Sequence[BigPoly]) -> RationalMap:
     _, deg = poly.is_homogeneous(next(c for c in comps if c.terms))
     assert deg is not None
     return RationalMap(tuple(comps), deg)
-
-
-def apply(f: RationalMap, x: ProjPoint) -> Optional[ProjPoint]:
-    """Image of x under f, or None when x is in the base locus."""
-    if f.arity != x.arity:
-        raise ValueError("map arity %d vs point arity %d" % (f.arity, x.arity))
-    values = [poly.eval_int(c, x.coords) for c in f.components]
-    if all(v == 0 for v in values):
-        return None
-    return make_point(values)
-
-
-def iterate_map(f: RationalMap, n: int,
-                budget: int = DEFAULT_DEGREE_BUDGET) -> RationalMap:
-    """Reduced representation of the n-th iterate.
-
-    Raises BudgetExceeded when the raw degree of the next composition
-    (deg current * deg f, before reduction) would pass the budget.
-    """
-    if n < 1:
-        raise ValueError("iterate count must be >= 1")
-    current = f
-    for _ in range(n - 1):
-        if current.degree * f.degree > budget:
-            raise BudgetExceeded(
-                "raw degree %d exceeds budget %d"
-                % (current.degree * f.degree, budget))
-        composed = [poly.compose(c, current.components) for c in f.components]
-        current = make_map(composed)
-    return current
 
 
 @dataclass

@@ -82,7 +82,7 @@ def test_criterion_2_orbit_coordinates_and_limit_ratio(capsys):
         expected = (3 ** (2 ** n) * 2 ** (3 ** n - 2 ** n), 2 ** (3 ** n), 1)
         if pt.coords != expected:
             failures.append("coords at n=%d" % n)
-    ratios = [r for _, _, _, r in series.rows]
+    ratios = [row.ratio for row in series.rows]
     closed = [((3 ** n - 2 ** n) * math.log(2))
               / (2 ** n * math.log(3) + (3 ** n - 2 ** n) * math.log(2))
               for n in range(13)]
@@ -167,7 +167,7 @@ def test_criterion_5_arithmetic_degree_estimates(capsys):
     failures = []
     f = pmap(*BACKNONFIN)
     series = height_ratio_series(f, COORD_AXES, make_point((3, 2, 1)), 12)
-    est = arithmetic_degree_estimate([h for _, h, _, _ in series.rows])
+    est = arithmetic_degree_estimate([row.h for row in series.rows])
     if abs(est.ratio_tail - 3.0) > 0.05 * 3.0:
         failures.append("tail ratio %r not within 5%% of 3" % est.ratio_tail)
 

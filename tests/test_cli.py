@@ -157,6 +157,23 @@ def test_prime_dividing_a_map_component_is_skipped_with_a_flag(tmp_path, capsys)
     assert payload["summary"]["fiber"] is None
 
 
+def test_degrees_skips_the_fiber_primes_that_run_skips(capsys):
+    argv = ["degrees", "--map", "1009*x0^2; x1^2; x2^2", "--n-max", "2",
+            "--targets", "2"]
+    flag = ("fiber counting skipped prime 1009: it divides every coefficient "
+            "of map component 0")
+    assert main(argv + ["--primes", "1009"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["flags"] == [flag]
+    assert payload["d1_sequence"] == [[1, 2, 2.0], [2, 4, 2.0]]
+    assert "dN_counts" not in payload
+    assert main(argv + ["--primes", "1009,2003"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["flags"] == [flag]
+    assert list(payload["dN_counts"]["by_prime"]) == ["2003"]
+    assert payload["dN_counts"]["mode"] == 4
+
+
 def test_config_validation_failure_exits_one(tmp_path, capsys):
     bad = dict(PERIODIC_CONFIG, map="x1; x0")  # wrong component count
     cfg = write_config(tmp_path, "bad.json", bad)

@@ -46,6 +46,7 @@ def test_degree_sequence_budget_truncation():
     assert seq.entries == [(1, 3), (2, 9), (3, 27), (4, 81)]
     assert seq.truncated
     assert d1_estimate(seq) == pytest.approx(81 / 27)
+    assert projgeom.DEFAULT_DEGREE_BUDGET == 729
 
 
 def test_degree_sequence_immediate_truncation():

@@ -6,12 +6,13 @@ import math
 import pytest
 
 from orbitgcd import experiments
-from orbitgcd.experiments import (CSV_HEADER, ConfigError, ReportRow,
-                                  ScenarioConfig, build_scenario,
-                                  builtin_scenario, classify_trend,
-                                  config_from_dict, hypothesis_verdict,
-                                  load_config_file, render_csv, render_json,
-                                  render_summary, run_scenario)
+from orbitgcd.experiments import (CSV_HEADER, ConfigError, ScenarioConfig,
+                                  build_scenario, builtin_scenario,
+                                  classify_trend, config_from_dict,
+                                  hypothesis_verdict, load_config_file,
+                                  render_csv, render_json, render_summary,
+                                  run_scenario)
+from orbitgcd.heights import HeightRow
 
 
 def small_config(**overrides):
@@ -105,7 +106,7 @@ def test_build_scenario_error_labels():
 def synth_rows(ratios, h_base=math.e):
     rows = []
     for n, r in enumerate(ratios):
-        rows.append(ReportRow(n=n, bits=1, h=h_base ** (n + 1), height=None,
+        rows.append(HeightRow(n=n, bits=1, h=h_base ** (n + 1), height=None,
                               ratio=r))
     return rows
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from orbitgcd import poly, polyparse
-from orbitgcd.ffield import (FpElement, check_prime, distinct_root_count,
+from orbitgcd.ffield import (check_prime, distinct_root_count,
                              is_probable_prime, normalize_proj,
                              proj_points_fp, reduce_poly, uni_deg, uni_divmod,
                              uni_gcd, uni_interpolate, uni_mul, uni_norm,
@@ -32,31 +32,6 @@ def test_check_prime_enforces_floor():
         check_prime(47)  # prime but below the working floor
     with pytest.raises(ValueError):
         check_prime(91)  # composite
-
-
-# ---------------------------------------------------------------------------
-# field elements
-
-
-def test_field_arithmetic_and_inverse():
-    p = 101
-    a = FpElement(37, p)
-    b = FpElement(90, p)
-    assert (a + b).value == (37 + 90) % p
-    assert (a * b).value == (37 * 90) % p
-    assert (a - b).value == (37 - 90) % p
-    inv = a.inverse()
-    assert (a * inv).value == 1
-    with pytest.raises(ZeroDivisionError):
-        FpElement(0, p).inverse()
-
-
-def test_inverse_property_random():
-    p = 1009
-    rng = random.Random(3)
-    for _ in range(200):
-        v = rng.randint(1, p - 1)
-        assert (FpElement(v, p) * FpElement(v, p).inverse()).value == 1
 
 
 # ---------------------------------------------------------------------------

@@ -192,25 +192,26 @@ def test_series_rows_and_ratio_definition():
     series = height_ratio_series(f, COORD_AXES, make_point((3, 2, 1)), 5)
     assert len(series.rows) == 6
     assert len(series.orbit_points) == 6
-    for n, h, hv, ratio in series.rows:
-        assert h == weil_height(series.orbit_points[n])
-        if h > 0 and not hv.infinite:
-            assert ratio == pytest.approx(hv.total / h)
+    for row in series.rows:
+        pt = series.orbit_points[row.n]
+        assert row.h == weil_height(pt)
+        assert row.bits == max(c.bit_length() for c in pt.coords)
+        if row.h > 0 and not row.height.infinite:
+            assert row.ratio == pytest.approx(row.height.total / row.h)
         else:
-            assert ratio is None
+            assert row.ratio is None
 
 
 def test_series_ratio_none_at_height_zero():
     f = pmap("2*x0", "3*x1", "x2")
     y = ideal("x0 - x2", "x1 - x2")
     series = height_ratio_series(f, y, make_point((1, 1, 1)), 3)
-    n0, h0, hv0, ratio0 = series.rows[0]
-    assert h0 == 0.0
-    assert hv0.infinite  # (1:1:1) lies on Y
-    assert ratio0 is None
+    row0, row1 = series.rows[:2]
+    assert row0.h == 0.0
+    assert row0.height.infinite  # (1:1:1) lies on Y
+    assert row0.ratio is None
     # later rows have positive height and finite values
-    n1, h1, hv1, ratio1 = series.rows[1]
-    assert h1 > 0 and not hv1.infinite and ratio1 is not None
+    assert row1.h > 0 and not row1.height.infinite and row1.ratio is not None
 
 
 def test_series_truncates_with_orbit():
@@ -223,7 +224,8 @@ def test_series_truncates_with_orbit():
 def test_backnonfin_ratio_closed_form_small_n():
     f = pmap("x0^2*x1", "x1^3", "x2^3")
     series = height_ratio_series(f, COORD_AXES, make_point((3, 2, 1)), 8)
-    for n, h, hv, ratio in series.rows[1:]:
+    for row in series.rows[1:]:
+        n = row.n
         num = (3 ** n - 2 ** n) * math.log(2)
         den = 2 ** n * math.log(3) + (3 ** n - 2 ** n) * math.log(2)
-        assert ratio == pytest.approx(num / den, rel=1e-12)
+        assert row.ratio == pytest.approx(num / den, rel=1e-12)

@@ -1,17 +1,14 @@
 """Projective points, rational maps, orbits."""
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitgcd import polyparse, projgeom
-from orbitgcd.poly import gcd_multivar, degree
-from orbitgcd.projgeom import (BudgetExceeded, DEFAULT_DEGREE_BUDGET,
-                               ProjPoint, apply, iterate_map, make_ideal,
-                               make_map, make_point, orbit)
+from orbitgcd.poly import compose, gcd_multivar, degree
+from orbitgcd.projgeom import make_ideal, make_map, make_point, orbit
 
 
 def pmap(*comps: str, arity: int = 3) -> projgeom.RationalMap:
@@ -86,30 +83,19 @@ def test_map_components_are_coprime_after_reduction():
 
 def test_apply_and_base_locus():
     f = pmap("x0^2*x1", "x1^3", "x2^3")
-    image = apply(f, make_point((3, 2, 1)))
-    assert image is not None
-    assert image.coords == (9 * 2, 8, 1)
-    assert apply(f, make_point((1, 0, 0))) is None  # indeterminacy point
+    step = orbit(f, make_point((3, 2, 1)), 1)
+    assert step.points[1].coords == (9 * 2, 8, 1)
+    # (1:0:0) is an indeterminacy point
+    assert orbit(f, make_point((1, 0, 0)), 1).indeterminate_at == 0
 
 
 def test_iterate_map_degrees():
     f = pmap("x0^2*x1", "x1^3", "x2^3")
-    f2 = iterate_map(f, 2)
+    f2 = make_map([compose(c, f.components) for c in f.components])
     assert f2.degree == 9
-    f3 = iterate_map(f, 3)
-    assert f3.degree == 27
-    # iterate evaluation agrees with repeated application
+    # the reduced f o f evaluates like two steps of f
     x = make_point((3, 2, 1))
-    stepwise = apply(f, apply(f, x))
-    assert apply(f2, x) == stepwise
-
-
-def test_iterate_budget():
-    f = pmap("x0^3", "x1^3", "x2^3")
-    with pytest.raises(BudgetExceeded):
-        iterate_map(f, 7)  # 3^7 = 2187 > 729
-    assert iterate_map(f, 7, budget=3 ** 7).degree == 3 ** 7
-    assert DEFAULT_DEGREE_BUDGET == 729
+    assert orbit(f2, x, 1).points[1] == orbit(f, x, 2).points[2]
 
 
 # ---------------------------------------------------------------------------
