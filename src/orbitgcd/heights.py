@@ -58,9 +58,11 @@ def weil_height(x: ProjPoint) -> float:
 def subscheme_height(Y: SubschemeIdeal, x: ProjPoint) -> HeightValue:
     """Generalized-gcd height of x along Y.
 
-    The archimedean argmin over generators is decided by exact integer
-    cross-multiplication (compare ||a||^{d_j} |v_k| against ||a||^{d_k}
-    |v_j|), never by comparing floats.
+    The archimedean argmin over generators is decided in exact integers,
+    never by comparing floats: |v_k| / ||a||^{d_k} against |v_j| / ||a||^{d_j}
+    with both sides multiplied by ||a||^{max(d_j, d_k)}, so generators of
+    equal degree compare their values alone.  On a tie the earlier
+    generator wins.
     """
     if Y.arity != x.arity:
         raise ValueError("ideal arity %d vs point arity %d"
@@ -79,7 +81,8 @@ def subscheme_height(Y: SubschemeIdeal, x: ProjPoint) -> HeightValue:
     best_v, best_d = values[0]
     for v, d in values[1:]:
         # v/||a||^d maximal <=> arch term minimal
-        if v * sup ** best_d > best_v * sup ** d:
+        m = min(d, best_d)
+        if v * sup ** (best_d - m) > best_v * sup ** (d - m):
             best_v, best_d = v, d
     g = 0
     for v, _ in values:

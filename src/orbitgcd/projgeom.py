@@ -6,6 +6,10 @@ tuples of N+1 homogeneous polynomials of one common degree, reduced so
 that the components share no polynomial factor; evaluation at a point
 either produces the image point or signals indeterminacy when every
 component vanishes (the set-theoretic base locus of the reduced tuple).
+The last point of an orbit needs no image, only that zero test, so it is
+evaluated mod SCREEN_PRIME first: a nonzero residue proves that the point
+is outside the base locus, and only when every residue is 0 are the
+components evaluated exactly.
 """
 
 from __future__ import annotations
@@ -14,13 +18,16 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from . import poly
+from . import ffield, poly
 from .poly import BigPoly
 
 Coords = Tuple[int, ...]
 
 # cap on the raw degree deg(f^n) * deg(f) of the next iterate composition
 DEFAULT_DEGREE_BUDGET = 3 ** 6
+
+# word-size prime for the base-locus test at the last orbit point
+SCREEN_PRIME = 2 ** 61 - 1
 
 
 @dataclass(frozen=True)
@@ -41,12 +48,17 @@ def make_point(raw: Sequence[int]) -> ProjPoint:
     coords = [int(c) for c in raw]
     if len(coords) < 2:
         raise ValueError("a projective point needs at least two coordinates")
+    # smallest first: math.gcd is quadratic, and the running gcd is at most
+    # as large as the smallest coordinate folded so far
     g = 0
-    for c in coords:
+    for c in sorted(coords, key=abs):
         g = math.gcd(g, c)
+        if g == 1:
+            break
     if g == 0:
         raise ValueError("all coordinates are zero")
-    coords = [c // g for c in coords]
+    if g != 1:
+        coords = [c // g for c in coords]
     for c in coords:
         if c != 0:
             if c < 0:
@@ -179,8 +191,26 @@ class OrbitResult:
     period_start: Optional[int] = None
 
 
+def _in_base_locus(f: RationalMap, coords: Coords) -> bool:
+    """Whether every component of f vanishes at coords.
+
+    Decided mod SCREEN_PRIME first; the exact values are computed only when
+    every residue is 0, which a point outside the base locus rarely gives.
+    """
+    residues = [c % SCREEN_PRIME for c in coords]
+    if any(ffield.reduce_poly(c, SCREEN_PRIME).eval(residues)
+           for c in f.components):
+        return False
+    return all(poly.eval_int(c, coords) == 0 for c in f.components)
+
+
 def orbit(f: RationalMap, x0: ProjPoint, n_max: int) -> OrbitResult:
-    """Successive images of x0, stopping at n_max, indeterminacy, or a cycle."""
+    """Successive images of x0, stopping at n_max, indeterminacy, or a cycle.
+
+    Points before x_{n_max} are evaluated exactly, since their values give
+    the next point.  x_{n_max} itself is only tested for indeterminacy, by
+    residues mod SCREEN_PRIME with an exact fallback when all of them are 0.
+    """
     if f.arity != x0.arity:
         raise ValueError("map arity %d vs point arity %d" % (f.arity, x0.arity))
     result = OrbitResult()
@@ -192,13 +222,17 @@ def orbit(f: RationalMap, x0: ProjPoint, n_max: int) -> OrbitResult:
             result.periodic = True
             result.period_start = seen[key]
             break
-        values = [poly.eval_int(c, current.coords) for c in f.components]
+        if n == n_max:
+            if _in_base_locus(f, key):
+                result.indeterminate_at = n
+            else:
+                result.points.append(current)
+            break
+        values = [poly.eval_int(c, key) for c in f.components]
         if all(v == 0 for v in values):
             result.indeterminate_at = n
             break
         seen[key] = n
         result.points.append(current)
-        if n == n_max:
-            break
         current = make_point(values)
     return result

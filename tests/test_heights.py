@@ -1,13 +1,14 @@
 """Weil and subscheme heights, closed forms, ratio series."""
 
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitgcd import heights, polyparse, projgeom
+from orbitgcd import heights, poly, polyparse, projgeom
 from orbitgcd.heights import (bcz_closed_form, bcz_exact_parts,
                               height_ratio_series, multiplicatively_dependent,
                               subscheme_height, weil_height)
@@ -91,6 +92,11 @@ def test_mixed_degree_generators_pick_exact_minimum():
     assert hv.gcd_value == math.gcd(4, 8)
     assert hv.arch_part == pytest.approx(math.log(5) - math.log(4))
     assert hv.total == pytest.approx(math.log(5) - math.log(4) + math.log(4))
+    # x1 and x0*x1 tie at 3/5 = 15/25: the earlier generator wins
+    hv = subscheme_height(ideal("x1", "x0*x1"), make_point((5, 3, 1)))
+    assert (hv.arch_value, hv.arch_degree) == (3, 1)
+    hv = subscheme_height(ideal("x0*x1", "x1"), make_point((5, 3, 1)))
+    assert (hv.arch_value, hv.arch_degree) == (15, 2)
 
 
 def test_generator_value_larger_than_sup_gives_negative_arch():
@@ -100,6 +106,74 @@ def test_generator_value_larger_than_sup_gives_negative_arch():
     assert hv.arch_part == pytest.approx(-math.log(3))
     assert hv.gcd_part == math.log(3)
     assert hv.total == pytest.approx(0.0, abs=1e-15)
+
+
+def _cross_multiplication_witnesses(Y, x):
+    """(sup_norm, gcd_value, arch_value, arch_degree) with the argmin decided
+    by comparing |v| ||a||^{d_best} against |v_best| ||a||^d in full."""
+    sup = max(abs(c) for c in x.coords)
+    values = []
+    for g in Y.generators:
+        v = poly.eval_int(g, x.coords)
+        if v:
+            values.append((abs(v), poly.degree(g)))
+    if not values:
+        return None
+    best_v, best_d = values[0]
+    for v, d in values[1:]:
+        if v * sup ** best_d > best_v * sup ** d:
+            best_v, best_d = v, d
+    return sup, math.gcd(*(v for v, _ in values)), best_v, best_d
+
+
+_FORM_EXPONENTS = {d: [e for e in itertools.product(range(d + 1), repeat=3)
+                       if sum(e) == d] for d in (1, 2, 3)}
+
+
+@st.composite
+def _forms(draw):
+    d = draw(st.integers(1, 3))
+    exps = draw(st.lists(st.sampled_from(_FORM_EXPONENTS[d]), min_size=1,
+                         max_size=4, unique=True))
+    coeffs = draw(st.lists(st.integers(-5, 5).filter(bool),
+                           min_size=len(exps), max_size=len(exps)))
+    return poly.BigPoly(3, dict(zip(exps, coeffs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_arch_argmin_matches_cross_multiplication(data):
+    coords = data.draw(st.lists(st.one_of(st.integers(-3, 3),
+                                          st.integers(-2 ** 200, 2 ** 200)),
+                                min_size=3, max_size=3))
+    assume(any(coords))
+    x = make_point(coords)
+    top = max(range(3), key=lambda i: abs(x.coords[i]))
+    gens = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        g = data.draw(_forms())
+        # partners that tie with g: -g, or x_top * g, whose value is
+        # ||a|| |g(a)| at one degree more
+        tie = data.draw(st.sampled_from(["none", "neg", "times sup"]))
+        if tie == "neg":
+            partner = poly.neg(g)
+        elif tie == "times sup" and poly.degree(g) < 3:
+            partner = poly.mul(g, poly.variable(3, top))
+        else:
+            gens.append(g)
+            continue
+        pair = [g, partner]
+        if data.draw(st.booleans()):
+            pair.reverse()
+        gens.extend(pair)
+    Y = make_ideal(gens)
+    hv = subscheme_height(Y, x)
+    expected = _cross_multiplication_witnesses(Y, x)
+    if expected is None:
+        assert hv.infinite
+    else:
+        assert (hv.sup_norm, hv.gcd_value, hv.arch_value,
+                hv.arch_degree) == expected
 
 
 @settings(max_examples=60)

@@ -1,14 +1,16 @@
 """Projective points, rational maps, orbits."""
 
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitgcd import polyparse, projgeom
-from orbitgcd.poly import compose, gcd_multivar, degree
-from orbitgcd.projgeom import make_ideal, make_map, make_point, orbit
+from orbitgcd.poly import BigPoly, compose, eval_int, gcd_multivar, degree
+from orbitgcd.projgeom import (OrbitResult, make_ideal, make_map, make_point,
+                               orbit)
 
 
 def pmap(*comps: str, arity: int = 3) -> projgeom.RationalMap:
@@ -142,6 +144,102 @@ def test_orbit_hitting_base_locus_truncates():
     res = orbit(f, make_point((1, 0, 1)), 5)
     assert res.points == [make_point((1, 0, 1))]
     assert res.indeterminate_at == 1
+
+
+def test_orbit_last_point_in_base_locus_is_not_emitted():
+    # (0:1:1) maps to (1:0:0), where every component vanishes
+    f = pmap("x1^2", "x0*x2", "x0*x1")
+    res = orbit(f, make_point((0, 1, 1)), 1)
+    assert res.points == [make_point((0, 1, 1))]
+    assert res.indeterminate_at == 1
+
+
+def test_orbit_last_point_with_all_residues_zero_is_emitted():
+    # the values P, 2P, 2P^2 are all 0 mod P but none is 0
+    P = projgeom.SCREEN_PRIME
+    f = pmap("x0*x2", "x1*x2", "x0*x1")
+    x = make_point((P, 2 * P, 1))
+    res = orbit(f, x, 0)
+    assert res.points == [x]
+    assert res.indeterminate_at is None
+
+
+def test_orbit_evaluates_the_last_point_exactly_only_when_residues_vanish(
+        monkeypatch):
+    evaluated = []
+    eval_int = projgeom.poly.eval_int
+    monkeypatch.setattr(projgeom.poly, "eval_int",
+                        lambda p, pt: evaluated.append(pt) or eval_int(p, pt))
+    f = pmap("x0^2*x1", "x1^3", "x2^3")
+    res = orbit(f, make_point((3, 2, 1)), 6)
+    assert len(res.points) == 7
+    assert evaluated == [pt.coords for pt in res.points[:-1] for _ in range(3)]
+    evaluated.clear()
+    P = projgeom.SCREEN_PRIME
+    orbit(pmap("x0*x2", "x1*x2", "x0*x1"), make_point((P, 2 * P, 1)), 0)
+    assert evaluated == [(P, 2 * P, 1)]
+
+
+def _reference_orbit(f, x0, n_max):
+    """orbit with every point, the last one included, evaluated exactly."""
+    result = OrbitResult()
+    seen = {}
+    current = x0
+    for n in range(n_max + 1):
+        if current.coords in seen:
+            result.periodic = True
+            result.period_start = seen[current.coords]
+            break
+        values = [eval_int(c, current.coords) for c in f.components]
+        if all(v == 0 for v in values):
+            result.indeterminate_at = n
+            break
+        seen[current.coords] = n
+        result.points.append(current)
+        if n == n_max:
+            break
+        current = make_point(values)
+    return result
+
+
+_QUADRATIC = [e for e in itertools.product(range(3), repeat=3) if sum(e) == 2]
+# small coordinates and multiples of the screening prime, so that starts
+# congruent to a planted base point mod P exercise the exact fallback
+_COORD = st.one_of(st.integers(-3, 3),
+                   st.integers(-3, 3).map(lambda k: k * projgeom.SCREEN_PRIME))
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.lists(_COORD, min_size=3, max_size=3),
+       coeffs=st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+                       min_size=3, max_size=3),
+       start=st.sampled_from(["free", "planted", "planted mod P"]),
+       free=st.lists(_COORD, min_size=3, max_size=3),
+       shift=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+       n_max=st.integers(0, 3))
+def test_orbit_matches_exact_evaluation_at_every_point(q, coeffs, start, free,
+                                                       shift, n_max):
+    assume(any(q))
+    # c_i = q_k^2 g_i - g_i(q) x_k^2 vanishes at the planted point q
+    k = next(i for i, c in enumerate(q) if c)
+    square = tuple(2 if i == k else 0 for i in range(3))
+    comps = []
+    for row in coeffs:
+        g = BigPoly(3, {e: c for e, c in zip(_QUADRATIC, row) if c})
+        terms = {e: q[k] ** 2 * c for e, c in g.terms.items()}
+        terms[square] = terms.get(square, 0) - eval_int(g, q)
+        comps.append(BigPoly(3, {e: c for e, c in terms.items() if c}))
+    assume(any(c.terms for c in comps))
+    f = make_map(comps)
+    if start == "planted":
+        raw = q
+    elif start == "planted mod P":
+        raw = [a + projgeom.SCREEN_PRIME * t for a, t in zip(q, shift)]
+    else:
+        raw = free
+    assume(any(raw))
+    x0 = make_point(raw)
+    assert orbit(f, x0, n_max) == _reference_orbit(f, x0, n_max)
 
 
 def test_orbit_arity_mismatch():
