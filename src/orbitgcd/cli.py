@@ -20,7 +20,7 @@ import random
 import sys
 from typing import List, Optional, Sequence
 
-from . import __version__, degrees, experiments, polyparse, projgeom
+from . import __version__, degrees, experiments
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     deg.add_argument("--n-max", type=int, default=6,
                      help="iterates for the degree sequence (default 6)")
     deg.add_argument("--budget", type=int,
-                     default=projgeom.DEFAULT_DEGREE_BUDGET,
+                     default=degrees.DEFAULT_DEGREE_BUDGET,
                      help="composition degree budget")
     deg.add_argument("--primes", metavar="P1,P2,...", default=None,
                      help="primes for fiber counting")
@@ -137,7 +137,6 @@ def _parse_matrix(text: str) -> List[List[int]]:
 
 
 def cmd_degrees(args: argparse.Namespace, seed: int) -> int:
-    flags: List[str] = []
     if args.matrix:
         matrix = _parse_matrix(args.matrix)
         try:
@@ -151,17 +150,9 @@ def cmd_degrees(args: argparse.Namespace, seed: int) -> int:
     if not args.map:
         raise experiments.ConfigError("degrees: need --map or --matrix")
 
-    parts = args.map.split(";")
-    arity = len(parts)
-    try:
-        comps = [polyparse.parse(part, arity) for part in parts]
-        f = projgeom.make_map(comps)
-    except (polyparse.PolyParseError, ValueError) as exc:
-        raise experiments.ConfigError("map: %s" % exc) from None
-
+    f = experiments.parse_map(args.map, args.map.count(";") + 1)
     seq = degrees.degree_sequence(f, args.n_max, budget=args.budget)
-    if seq.truncated:
-        flags.append("degree sequence truncated by the composition budget")
+    flags = seq.flags()
     payload = {"kind": "map", "map": args.map,
                "d1_sequence": seq.with_roots(),
                "d1_estimate": degrees.d1_estimate(seq),
@@ -172,15 +163,10 @@ def cmd_degrees(args: argparse.Namespace, seed: int) -> int:
         except ValueError:
             raise experiments.ConfigError(
                 "primes: want comma-separated integers") from None
-        primes = degrees.fiber_primes(f, primes, flags)
-        if primes:
-            fiber = degrees.topological_degree_ff(f, primes, args.targets,
-                                                  rng=random.Random(seed))
+        fiber = degrees.fiber_report(f, primes, args.targets,
+                                     random.Random(seed), flags)
+        if fiber is not None:
             payload["dN_counts"] = fiber.as_dict()
-            if fiber.ambiguous:
-                flags.append("fiber-count mode ambiguous")
-            if fiber.degenerate:
-                flags.append("fiber counting degenerate")
     payload["flags"] = flags
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 2 if flags else 0
@@ -204,13 +190,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_degrees(args, seed)
         parser.print_help(sys.stderr)
         return 1
-    except (experiments.ConfigError, polyparse.PolyParseError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
-    except OSError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     except Exception as exc:  # noqa: BLE001 - last-resort internal guard

@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ffield, poly, projgeom
-from .ffield import Uni
+from .ffield import Terms, Uni
 from .projgeom import ProjPoint, RationalMap
 
-Terms = List[Tuple[int, Tuple[int, ...]]]  # ((coeff mod p, exponents)) triples
+# cap on the raw degree deg(f^n) * deg(f) of the next iterate composition
+DEFAULT_DEGREE_BUDGET = 3 ** 6
 
 # Fixed large primes for exact-rank certificates (full rank mod p implies
 # full rank over Q).  Primality is asserted in the test suite.
@@ -44,24 +45,40 @@ _RANK_PRIMES = (2305843009213693951, 1000000000000000009, 999999999999999989)
 
 @dataclass
 class DegreeSequence:
-    """Degrees of reduced iterates; truncated marks a budget stop."""
+    """Degrees of reduced iterates; truncated marks a budget stop, and a
+    last entry of degree 0 marks a constant iterate."""
     entries: List[Tuple[int, int]]  # (n, deg f^n)
     truncated: bool
 
     def with_roots(self) -> List[Tuple[int, int, float]]:
         return [(n, d, d ** (1.0 / n)) for n, d in self.entries]
 
+    def flags(self) -> List[str]:
+        """The flags of a budget stop and of a constant iterate."""
+        out = []
+        if self.truncated:
+            out.append("degree sequence truncated by the composition budget")
+        n, d = self.entries[-1]
+        if d == 0:
+            out.append("degree sequence stopped at n=%d: f^n is constant "
+                       "(the map is not dominant)" % n)
+        return out
+
 
 def degree_sequence(f: RationalMap, n_max: int,
-                    budget: int = projgeom.DEFAULT_DEGREE_BUDGET) -> DegreeSequence:
+                    budget: int = DEFAULT_DEGREE_BUDGET) -> DegreeSequence:
     """deg f^n for n = 1..n_max, stopping early when the raw degree of the
-    next composition would exceed the budget (prefix is returned, flagged)."""
+    next composition would exceed the budget (prefix is returned, flagged),
+    or after the first constant iterate f^n (entry (n, 0)), which cannot
+    be composed further."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     entries = [(1, f.degree)]
     current = f
     truncated = False
     for n in range(2, n_max + 1):
+        if current.degree == 0:
+            break
         if current.degree * f.degree > budget:
             truncated = True
             break
@@ -114,11 +131,6 @@ class FiberCountReport:
 def _histogram_modes(hist: Dict[int, int]) -> List[Tuple[int, int]]:
     best = max(hist.values())
     return sorted((k, v) for k, v in hist.items() if v == best)
-
-
-def _component_terms(c, prime: int) -> Terms:
-    fp = ffield.reduce_poly(c, prime)
-    return [(coeff, exps) for exps, coeff in fp.terms]
 
 
 def _chart_terms(fi: Terms, t: int, f_last: Terms, prime: int) -> Terms:
@@ -256,20 +268,19 @@ def _line_count(comps: List[Terms], a: int, b: int, prime: int) -> int:
     return max(cnt, 0)
 
 
-def geometric_fiber_count(f: RationalMap, prime: int, target_ab: Tuple[int, int],
-                          rng: random.Random, shear_tries: int = 8) -> Optional[int]:
+def geometric_fiber_count(comps: Sequence[Terms], prime: int,
+                          target_ab: Tuple[int, int], rng: random.Random,
+                          shear_tries: int = 8) -> Optional[int]:
     """#f^{-1}((a:b:1)) over the algebraic closure of F_p, base points excluded.
 
-    Two successful random shears are required and the larger count wins
+    comps are the components of f reduced mod p, none of them zero.  Two
+    successful random shears are required and the larger count wins
     (a shear can only undercount, when two fiber points collide in v).
     Each shear specializes the three components once per sample v0, and
     its main and auxiliary eliminants are all built from that memo (see
     _eliminant).  Returns None when no shear produced a usable eliminant.
     """
     a, b = target_ab
-    comps = [_component_terms(c, prime) for c in f.components]
-    if any(not c for c in comps):
-        raise ValueError("prime %d wipes out a map component" % prime)
     g1 = _chart_terms(comps[0], a, comps[2], prime)
     g2 = _chart_terms(comps[1], b, comps[2], prime)
     if not g1 or not g2:
@@ -318,33 +329,6 @@ def geometric_fiber_count(f: RationalMap, prime: int, target_ab: Tuple[int, int]
     return max(counts) + _line_count(comps, a, b, prime)
 
 
-def fiber_primes(f: RationalMap, primes: Sequence[int],
-                 flags: List[str]) -> List[int]:
-    """The primes that fiber counting can use for f, in order.
-
-    A prime p is skipped, with a flag appended to flags, when p <= d^2 + 1
-    (an eliminant interpolates through up to d^2 + 1 points of F_p) or
-    when p divides every coefficient of some component.  Raises
-    ValueError for a number that check_prime rejects.
-    """
-    deg = f.degree
-    usable = []
-    for p in primes:
-        ffield.check_prime(p)
-        wiped = [i for i, c in enumerate(f.components)
-                 if poly.content(c) % p == 0]
-        if p <= deg * deg + 1:
-            flags.append("fiber counting skipped prime %d: too small "
-                         "for the degree-%d map" % (p, deg))
-        elif wiped:
-            flags.append("fiber counting skipped prime %d: it divides "
-                         "every coefficient of map component %d"
-                         % (p, wiped[0]))
-        else:
-            usable.append(p)
-    return usable
-
-
 def topological_degree_ff(f: RationalMap, primes: Sequence[int],
                           targets_per_prime: int,
                           rng: Optional[random.Random] = None
@@ -366,14 +350,16 @@ def topological_degree_ff(f: RationalMap, primes: Sequence[int],
     failed = 0
     samples = 0
     for prime in primes:
-        ffield.check_prime(prime)
+        comps = [ffield.reduce_poly(c, prime) for c in f.components]
+        if any(not c for c in comps):
+            raise ValueError("prime %d wipes out a map component" % prime)
         hist: Counter = Counter()
         for _ in range(targets_per_prime):
             samples += 1
             count = None
             for _retry in range(3):
                 target = (rng.randrange(prime), rng.randrange(prime))
-                count = geometric_fiber_count(f, prime, target, rng)
+                count = geometric_fiber_count(comps, prime, target, rng)
                 if count is not None:
                     break
             if count is None:
@@ -397,6 +383,44 @@ def topological_degree_ff(f: RationalMap, primes: Sequence[int],
                             failed_samples=failed, samples=samples)
 
 
+def fiber_report(f: RationalMap, primes: Sequence[int], targets_per_prime: int,
+                 rng: random.Random, flags: List[str]
+                 ) -> Optional[FiberCountReport]:
+    """topological_degree_ff over the primes that fiber counting can use
+    for f, or None when there are none; each trouble appends to flags.
+
+    A prime p is skipped with a flag when p <= d^2 + 1 (an eliminant
+    interpolates through up to d^2 + 1 points of F_p) or when p divides
+    every coefficient of some component.  An ambiguous mode and a
+    degenerate count are flagged too.  Raises ValueError for a number that
+    check_prime rejects.
+    """
+    deg = f.degree
+    usable = []
+    for p in primes:
+        ffield.check_prime(p)
+        wiped = [i for i, c in enumerate(f.components)
+                 if poly.content(c) % p == 0]
+        if p <= deg * deg + 1:
+            flags.append("fiber counting skipped prime %d: too small "
+                         "for the degree-%d map" % (p, deg))
+        elif wiped:
+            flags.append("fiber counting skipped prime %d: it divides "
+                         "every coefficient of map component %d"
+                         % (p, wiped[0]))
+        else:
+            usable.append(p)
+    if not usable:
+        return None
+    fiber = topological_degree_ff(f, usable, targets_per_prime, rng=rng)
+    if fiber.ambiguous:
+        flags.append("fiber-count mode ambiguous: candidates %s"
+                     % ", ".join(map(str, fiber.modes)))
+    if fiber.degenerate:
+        flags.append("fiber counting degenerate (map may fail to be dominant)")
+    return fiber
+
+
 def rational_fiber_count(f: RationalMap, prime: int,
                          target: Tuple[int, ...]) -> int:
     """Exhaustive count of F_p-rational preimages of a normalized target.
@@ -409,7 +433,8 @@ def rational_fiber_count(f: RationalMap, prime: int,
     want = ffield.normalize_proj(target, prime)
     found = 0
     for s in ffield.proj_points_fp(2, prime):
-        image = ffield.normalize_proj([c.eval(s) for c in comps], prime)
+        image = ffield.normalize_proj(
+            [ffield.eval_terms(c, s, prime) for c in comps], prime)
         if image is not None and image == want:
             found += 1
     return found
@@ -539,7 +564,7 @@ def arithmetic_degree_estimate(heights: Sequence[float]) -> AlphaEstimate:
 
     root_tail is max(1, h_last)^{1/n_last}; ratio_tail is the geometric
     mean of successive height quotients over the last ceil(len/3) steps,
-    skipping steps with a zero denominator.
+    skipping steps with a zero denominator or a zero quotient.
     """
     hs = [float(h) for h in heights]
     finite = [h for h in hs if math.isfinite(h)]
@@ -559,7 +584,7 @@ def arithmetic_degree_estimate(heights: Sequence[float]) -> AlphaEstimate:
     def steps_in(lo: int) -> List[Tuple[int, float]]:
         out = []
         for i in range(lo, len(hs) - 1):
-            if hs[i] > 0 and math.isfinite(hs[i]) and math.isfinite(hs[i + 1]):
+            if 0 < hs[i] < math.inf and 0 < hs[i + 1] < math.inf:
                 out.append((i, hs[i + 1] / hs[i]))
         return out
 

@@ -55,7 +55,7 @@ class ScenarioConfig:
     n_max: int
     primes: Tuple[int, ...] = ()
     targets_per_prime: int = 0
-    composition_cap: int = projgeom.DEFAULT_DEGREE_BUDGET
+    composition_cap: int = degrees.DEFAULT_DEGREE_BUDGET
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -138,7 +138,7 @@ def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
                                  data.get("targets_per_prime", 0)),
         composition_cap=as_int("composition_cap",
                                data.get("composition_cap",
-                                        projgeom.DEFAULT_DEGREE_BUDGET)),
+                                        degrees.DEFAULT_DEGREE_BUDGET)),
         metadata=dict(metadata))
 
 
@@ -214,22 +214,31 @@ def builtin_scenario(name: str, a: int = 2, b: int = 3) -> ScenarioConfig:
 # building the geometric objects from a config
 
 
+def parse_map(text: str, arity: int) -> RationalMap:
+    """The reduced map whose ';'-separated components text gives.
+
+    Raises ConfigError labelled map[i] for a component that does not
+    parse, and map for components that do not form a map.
+    """
+    comps = []
+    for i, part in enumerate(text.split(";")):
+        try:
+            comps.append(polyparse.parse(part, arity))
+        except polyparse.PolyParseError as exc:
+            raise ConfigError("map[%d]: %s" % (i, exc)) from None
+    try:
+        return projgeom.make_map(comps)
+    except ValueError as exc:
+        raise ConfigError("map: %s" % exc) from None
+
+
 def build_scenario(config: ScenarioConfig) -> Tuple[RationalMap, SubschemeIdeal, ProjPoint]:
     """Parse and validate the map, ideal and start point.
 
     Raises ConfigError with the offending field for anything wrong at the
     semantic level (inhomogeneous components, zero map, bad primes, ...).
     """
-    comps = []
-    for i, part in enumerate(config.map.split(";")):
-        try:
-            comps.append(polyparse.parse(part, config.arity))
-        except polyparse.PolyParseError as exc:
-            raise ConfigError("map[%d]: %s" % (i, exc)) from None
-    try:
-        f = projgeom.make_map(comps)
-    except ValueError as exc:
-        raise ConfigError("map: %s" % exc) from None
+    f = parse_map(config.map, config.arity)
 
     gens = []
     for i, text in enumerate(config.ideal):
@@ -449,7 +458,8 @@ def run_scenario(config: ScenarioConfig, name: str = "custom",
         flags.append("orbit is periodic (returns to the point of n=%d); "
                      "series truncated" % series.period_start)
 
-    # degree sequence, capped so reduced degrees stay within composition_cap
+    # the largest n_seq with deg^n_seq <= composition_cap; since deg f^n <=
+    # deg^n, the budget never stops this sequence
     deg = f.degree
     if deg <= 1:
         n_seq = 4
@@ -459,22 +469,13 @@ def run_scenario(config: ScenarioConfig, name: str = "custom",
             n_seq += 1
     degseq = degrees.degree_sequence(f, n_seq, budget=config.composition_cap)
     d1 = degrees.d1_estimate(degseq)
-    if degseq.truncated:
-        flags.append("degree sequence truncated by the composition budget")
+    flags.extend(degseq.flags())
 
     fiber = None
     if config.primes and config.targets_per_prime > 0:
         if config.arity == 3:
-            primes = degrees.fiber_primes(f, config.primes, flags)
-            if primes:
-                fiber = degrees.topological_degree_ff(
-                    f, primes, config.targets_per_prime, rng=rng)
-                if fiber.ambiguous:
-                    flags.append("fiber-count mode ambiguous: candidates %s"
-                                 % ", ".join(map(str, fiber.modes)))
-                if fiber.degenerate:
-                    flags.append("fiber counting degenerate "
-                                 "(map may fail to be dominant)")
+            fiber = degrees.fiber_report(f, config.primes,
+                                         config.targets_per_prime, rng, flags)
         else:
             advisories.append("fiber counting skipped: implemented for "
                               "3 coordinates only")

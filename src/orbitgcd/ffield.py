@@ -11,7 +11,6 @@ uses are small enough that the check is in fact deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 from .poly import BigPoly
@@ -58,33 +57,27 @@ def check_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class FpPoly:
-    """Integer polynomial reduced mod p, laid out for fast evaluation."""
-    arity: int
-    prime: int
-    terms: Tuple[Tuple[Tuple[int, ...], int], ...]  # (exponents, coeff)
-
-    def eval(self, point: Sequence[int]) -> int:
-        p = self.prime
-        acc = 0
-        for exps, coeff in self.terms:
-            v = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    v = v * pow(x, e, p) % p
-            acc += v
-        return acc % p
+# A polynomial reduced mod p: its nonzero (coeff mod p, exponents) terms,
+# in increasing exponent order.
+Terms = List[Tuple[int, Tuple[int, ...]]]
 
 
-def reduce_poly(poly_: BigPoly, prime: int) -> FpPoly:
+def reduce_poly(poly_: BigPoly, prime: int) -> Terms:
     check_prime(prime)
-    terms = []
-    for exps, coeff in sorted(poly_.terms.items()):
-        c = coeff % prime
-        if c:
-            terms.append((exps, c))
-    return FpPoly(poly_.arity, prime, tuple(terms))
+    return [(c, exps) for exps, coeff in sorted(poly_.terms.items())
+            if (c := coeff % prime)]
+
+
+def eval_terms(terms: Terms, point: Sequence[int], prime: int) -> int:
+    """Value mod prime of the reduced polynomial at an integer point."""
+    acc = 0
+    for coeff, exps in terms:
+        v = coeff
+        for x, e in zip(point, exps):
+            if e:
+                v = v * pow(x, e, prime) % prime
+        acc += v
+    return acc % prime
 
 
 def proj_points_fp(N: int, prime: int) -> Iterator[Tuple[int, ...]]:

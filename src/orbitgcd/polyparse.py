@@ -17,7 +17,6 @@ accepts a polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from . import poly
@@ -32,19 +31,6 @@ class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__("%s (at position %d)" % (message, position))
         self.position = position
-
-
-@dataclass(frozen=True)
-class PolySource:
-    """A polynomial expression plus the ambient variable count."""
-    text: str
-    arity: int
-
-    def __post_init__(self) -> None:
-        if not self.text.strip():
-            raise PolyParseError("empty polynomial source", 0)
-        if self.arity < 1:
-            raise PolyParseError("arity must be positive", 0)
 
 
 # token kinds: INT, VAR, OP (single char), END
@@ -173,18 +159,18 @@ class _Parser:
         raise PolyParseError("unexpected %s" % (repr(val) if val else "end of input"), at)
 
 
-def parse_poly(src: PolySource) -> BigPoly:
-    """Parse the source text into an exact expanded polynomial."""
-    parser = _Parser(_tokenize(src.text), src.arity)
+def parse(text: str, arity: int) -> BigPoly:
+    """Parse text in arity variables into an exact expanded polynomial."""
+    if not text.strip():
+        raise PolyParseError("empty polynomial source", 0)
+    if arity < 1:
+        raise PolyParseError("arity must be positive", 0)
+    parser = _Parser(_tokenize(text), arity)
     result = parser.parse_expr()
     kind, val, at = parser.peek()
     if kind != "END":
         raise PolyParseError("unexpected %r after expression" % val, at)
     return result
-
-
-def parse(text: str, arity: int) -> BigPoly:
-    return parse_poly(PolySource(text, arity))
 
 
 def format_poly(p: BigPoly) -> str:

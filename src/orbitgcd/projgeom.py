@@ -23,9 +23,6 @@ from .poly import BigPoly
 
 Coords = Tuple[int, ...]
 
-# cap on the raw degree deg(f^n) * deg(f) of the next iterate composition
-DEFAULT_DEGREE_BUDGET = 3 ** 6
-
 # word-size prime for the base-locus test at the last orbit point
 SCREEN_PRIME = 2 ** 61 - 1
 
@@ -198,7 +195,8 @@ def _in_base_locus(f: RationalMap, coords: Coords) -> bool:
     every residue is 0, which a point outside the base locus rarely gives.
     """
     residues = [c % SCREEN_PRIME for c in coords]
-    if any(ffield.reduce_poly(c, SCREEN_PRIME).eval(residues)
+    if any(ffield.eval_terms(ffield.reduce_poly(c, SCREEN_PRIME), residues,
+                             SCREEN_PRIME)
            for c in f.components):
         return False
     return all(poly.eval_int(c, coords) == 0 for c in f.components)

@@ -1,11 +1,15 @@
 """Command-line behavior: subcommands, streams, exit codes, artifacts."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitgcd import __version__
 from orbitgcd.cli import main
@@ -174,6 +178,101 @@ def test_degrees_skips_the_fiber_primes_that_run_skips(capsys):
     assert payload["dN_counts"]["mode"] == 4
 
 
+NOT_DOMINANT = ("degree sequence stopped at n=%d: f^n is constant "
+                "(the map is not dominant)")
+
+
+@pytest.mark.parametrize("map_text, n", [("x2; x0; 3*x2", 2),
+                                         ("x0; 2*x0; 3*x0", 1)])
+def test_non_dominant_map_exits_two_with_a_flag(tmp_path, capsys, map_text, n):
+    data = {"arity": 3, "map": map_text, "ideal": ["x0", "x1"],
+            "start": [1, 2, 3], "n_max": 3}
+    cfg = write_config(tmp_path, "flat.json", data)
+    assert main(["run", "--config", cfg, "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert NOT_DOMINANT % n in payload["flags"]
+    assert payload["summary"]["degree_sequence"][-1] == [n, 0]
+    assert main(["degrees", "--map", map_text]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["flags"] == [NOT_DOMINANT % n]
+    assert payload["d1_sequence"][-1] == [n, 0, 0.0]
+
+
+def test_zero_height_after_a_positive_one_does_not_crash(tmp_path, capsys):
+    # h(f^3 x) = 0 < h(f^2 x), a quotient with no logarithm
+    data = {"arity": 3, "map": "x2 - 2*x0; 53*x0; x2",
+            "ideal": ["x0*x1", "x2^2"], "start": [1, 2, 4], "n_max": 3}
+    cfg = write_config(tmp_path, "drop.json", data)
+    assert main(["run", "--config", cfg, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [row["h"] for row in payload["rows"]][-1] == 0.0
+    assert payload["summary"]["alpha"]["degenerate"] is False
+
+
+def test_degrees_and_run_share_the_fiber_flags(tmp_path, capsys):
+    # the image of (x0^2 : x0*x1 : x1^2) is a conic, so every fiber over a
+    # random target is empty
+    flag = "fiber counting degenerate (map may fail to be dominant)"
+    assert main(["degrees", "--map", "x0^2; x0*x1; x1^2", "--n-max", "2",
+                 "--primes", "1009", "--targets", "4"]) == 2
+    assert json.loads(capsys.readouterr().out)["flags"] == [flag]
+    data = {"arity": 3, "map": "x0^2; x0*x1; x1^2", "ideal": ["x0", "x1"],
+            "start": [1, 2, 3], "n_max": 3, "primes": [1009],
+            "targets_per_prime": 4}
+    cfg = write_config(tmp_path, "conic.json", data)
+    assert main(["run", "--config", cfg, "--format", "json"]) == 2
+    assert flag in json.loads(capsys.readouterr().out)["flags"]
+
+
+def _monomial(exps):
+    return "*".join("x%d^%d" % (v, e) for v, e in enumerate(exps) if e)
+
+
+@st.composite
+def p2_configs(draw):
+    """Valid P^2 scenario configs: each component has 1-4 distinct
+    monomials of one degree d in 1..3 with coefficients +-1..3, 53 or 106
+    (which 53 divides), and the primes include ones that wipe a component.
+
+    composition_cap is 1, d or, for d <= 2, d^2, so no iterate past
+    degree 4 is composed.  Larger caps reach the stall of poly._gcd_exact
+    (recorded as FOUND in CHANGES.md): some cubic maps at cap 9 spend
+    over 10 s reducing f^2."""
+    d = draw(st.integers(1, 3))
+    monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    coeffs = st.sampled_from([-3, -2, -1, 1, 2, 3, 53, 106])
+    comps = []
+    for _ in range(3):
+        support = draw(st.lists(st.sampled_from(monos), min_size=1,
+                                max_size=4, unique=True))
+        comps.append(" + ".join("%d*%s" % (draw(coeffs), _monomial(e))
+                                for e in support))
+    return {"arity": 3, "map": "; ".join(comps),
+            "ideal": draw(st.sampled_from([["x0", "x1"],
+                                           ["x0 - x2", "x1 - x2"],
+                                           ["x0*x1", "x2^2"]])),
+            "start": draw(st.lists(st.integers(-9, 9), min_size=3, max_size=3)
+                          .filter(any)),
+            "n_max": draw(st.integers(0, 6)),
+            "primes": draw(st.lists(st.sampled_from(
+                [53, 59, 61, 67, 101, 1009, 2003, 4001]), max_size=3,
+                unique=True)),
+            "targets_per_prime": draw(st.integers(0, 3)),
+            "composition_cap": draw(st.sampled_from(
+                [1, d, d * d] if d <= 2 else [1, d]))}
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=p2_configs())
+def test_valid_configs_end_with_exit_zero_or_two(tmp_path_factory, data):
+    # exit 1 or 3 would mean that run_scenario raised on a valid config
+    cfg = write_config(tmp_path_factory.mktemp("fuzz"), data=data)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["run", "--config", cfg, "--format", "json"])
+    assert code in (0, 2), err.getvalue()
+
+
 def test_config_validation_failure_exits_one(tmp_path, capsys):
     bad = dict(PERIODIC_CONFIG, map="x1; x0")  # wrong component count
     cfg = write_config(tmp_path, "bad.json", bad)
@@ -275,6 +374,9 @@ def test_degrees_truncation_flags_exit_two(capsys):
 
 def test_degrees_bad_inputs(capsys):
     assert main(["degrees", "--map", "x0^2; x1"]) == 1  # inhomogeneous
+    assert "error: map: " in capsys.readouterr().err
+    assert main(["degrees", "--map", "x2; x0 +; x1"]) == 1
+    assert "error: map[1]: " in capsys.readouterr().err
     assert main(["degrees", "--map", "x0^2*x1; x1^3; x2^3",
                  "--primes", "10a09"]) == 1
     assert main(["degrees", "--map", "x0^2*x1; x1^3; x2^3",

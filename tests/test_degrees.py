@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitgcd import degrees, polyparse, projgeom
+from orbitgcd import degrees, ffield, polyparse, projgeom
 from orbitgcd.degrees import (arithmetic_degree_estimate, d1_estimate,
                               degree_sequence, geometric_fiber_count,
                               hyperbolicity_report, monomial_dyn_degrees,
@@ -23,6 +23,10 @@ from orbitgcd.projgeom import make_map, make_point
 
 def pmap(*comps: str, arity: int = 3) -> projgeom.RationalMap:
     return make_map([polyparse.parse(c, arity) for c in comps])
+
+
+def reduced(f: projgeom.RationalMap, prime: int):
+    return [ffield.reduce_poly(c, prime) for c in f.components]
 
 
 BACKNONFIN = ("x0^2*x1", "x1^3", "x2^3")
@@ -46,7 +50,7 @@ def test_degree_sequence_budget_truncation():
     assert seq.entries == [(1, 3), (2, 9), (3, 27), (4, 81)]
     assert seq.truncated
     assert d1_estimate(seq) == pytest.approx(81 / 27)
-    assert projgeom.DEFAULT_DEGREE_BUDGET == 729
+    assert degrees.DEFAULT_DEGREE_BUDGET == 729
 
 
 def test_degree_sequence_immediate_truncation():
@@ -54,6 +58,23 @@ def test_degree_sequence_immediate_truncation():
     assert seq.entries == [(1, 3)]
     assert seq.truncated
     assert d1_estimate(seq) == pytest.approx(3.0)
+
+
+def test_degree_sequence_stops_at_a_constant_iterate():
+    # (x2 : x0 : 3*x2) squares to (3 : 1 : 9); (x0 : 2*x0 : 3*x0) reduces
+    # to the constant (1 : 2 : 3) itself
+    for comps, entries in ((("x2", "x0", "3*x2"), [(1, 1), (2, 0)]),
+                           (("x0", "2*x0", "3*x0"), [(1, 0)])):
+        seq = degree_sequence(pmap(*comps), 6)
+        assert seq.entries == entries
+        assert not seq.truncated
+        assert seq.flags() == [
+            "degree sequence stopped at n=%d: f^n is constant "
+            "(the map is not dominant)" % entries[-1][0]]
+        assert d1_estimate(seq) == 0.0
+    assert degree_sequence(pmap(*BACKNONFIN), 10, budget=100).flags() == [
+        "degree sequence truncated by the composition budget"]
+    assert degree_sequence(pmap(*BACKNONFIN), 3).flags() == []
 
 
 def test_degree_sequence_rejects_bad_n():
@@ -132,7 +153,7 @@ def test_rational_count_never_exceeds_geometric():
     p = 53
     for _ in range(5):
         a, b = rng.randrange(1, p), rng.randrange(1, p)
-        geo = geometric_fiber_count(f, p, (a, b), random.Random(11))
+        geo = geometric_fiber_count(reduced(f, p), p, (a, b), random.Random(11))
         if geo is None:
             continue
         rational = rational_fiber_count(f, p, (a, b, 1))
@@ -143,7 +164,8 @@ def test_squaring_fiber_over_unit_target():
     # preimages of (1:1:1) under coordinate squaring: signs of the first
     # two coordinates, so 4 points, all rational over any odd prime field
     f = pmap("x0^2", "x1^2", "x2^2")
-    assert geometric_fiber_count(f, 53, (1, 1), random.Random(1)) == 4
+    assert geometric_fiber_count(reduced(f, 53), 53, (1, 1),
+                                 random.Random(1)) == 4
     assert rational_fiber_count(f, 53, (1, 1, 1)) == 4
 
 
@@ -153,8 +175,8 @@ def test_fiber_guards():
     with pytest.raises(ValueError):
         topological_degree_ff(pmap(*BACKNONFIN), [47], 4)
     f = pmap("53*x0^2 + 53*x1^2", "x1^2", "x2^2")
-    with pytest.raises(ValueError):
-        geometric_fiber_count(f, 53, (1, 1), random.Random(0))
+    with pytest.raises(ValueError, match="wipes out a map component"):
+        topological_degree_ff(f, [53], 1)
 
 
 def test_fiber_histogram_pinned_for_a_quadratic_with_a_base_point():
@@ -339,6 +361,14 @@ def test_alpha_degenerate_all_zero():
 def test_alpha_constant_heights():
     est = arithmetic_degree_estimate([5.0] * 8)
     assert est.ratio_tail == pytest.approx(1.0)
+    assert not est.degenerate
+
+
+def test_alpha_skips_zero_quotients():
+    # h_4 = 0 < h_3: the step 3 -> 4 has no logarithm and is skipped
+    est = arithmetic_degree_estimate([1.0, 2.0, 4.0, 8.0, 0.0])
+    assert est.ratio_tail == pytest.approx(2.0)
+    assert est.ratio_steps == (2, 2)
     assert not est.degenerate
 
 

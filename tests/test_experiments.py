@@ -260,6 +260,22 @@ def test_orbit_into_indeterminacy_sets_flag():
     assert any("indeterminacy" in f for f in report.flags)
 
 
+@pytest.mark.parametrize("map_text, caps", [
+    ("x0^2*x1; x1^3; x2^3", (1, 2, 3, 8, 9, 26, 27, 80, 81)),  # 3^n
+    ("x1*x2; x0*x2; x0*x1", (1, 2, 3, 4, 7, 8, 15, 16)),  # 2, 1, 2, 1, ...
+    ("x0^2 + x1*x2; x1^2 - x0*x2; x2^2 + x0*x1",
+     (1, 2, 3, 4, 7, 8, 15, 16)),  # 2, 4, 8, 13
+    ("2*x0; 3*x1; x2", (1, 2, 81))])
+def test_composition_cap_never_truncates_the_run_degree_sequence(map_text, caps):
+    # run_scenario asks for n_seq iterates with deg^n_seq <= composition_cap,
+    # and deg f^n <= deg^n, so the budget cannot stop the sequence
+    for cap in caps:
+        report = run_scenario(small_config(map=map_text, n_max=1,
+                                           composition_cap=cap))
+        assert not report.degree_seq.truncated
+        assert report.flags == []
+
+
 def test_periodic_orbit_sets_flag():
     cfg = ScenarioConfig(arity=3, map="x1; x0; x2", ideal=("x0 - x1",),
                          start=(2, 5, 1), n_max=9)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from orbitgcd import poly, polyparse
-from orbitgcd.ffield import (check_prime, distinct_root_count,
+from orbitgcd.ffield import (check_prime, distinct_root_count, eval_terms,
                              is_probable_prime, normalize_proj,
                              proj_points_fp, reduce_poly, uni_deg, uni_divmod,
                              uni_gcd, uni_interpolate, uni_mul, uni_norm,
@@ -64,13 +64,12 @@ def test_reduce_poly_wraps_coefficients():
     p = 97
     f = polyparse.parse("100*x0^2 - 3*x0*x1 + 97*x1^2", 2)
     reduced = reduce_poly(f, p)
-    assert reduced.prime == p and reduced.arity == 2
-    assert dict(reduced.terms) == {(2, 0): 3, (1, 1): 94}
+    assert reduced == [(94, (1, 1)), (3, (2, 0))]
     # evaluation agrees with the exact polynomial mod p
     rng = random.Random(9)
     for _ in range(50):
         pt = [rng.randint(0, p - 1) for _ in range(2)]
-        assert reduced.eval(pt) == poly.eval_int(f, pt) % p
+        assert eval_terms(reduced, pt, p) == poly.eval_int(f, pt) % p
 
 
 # ---------------------------------------------------------------------------

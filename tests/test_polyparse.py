@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from orbitgcd import poly
 from orbitgcd.poly import BigPoly, add, eval_int, mul, neg, scale, variable
-from orbitgcd.polyparse import (MAX_EXPONENT, PolyParseError, PolySource,
-                                format_poly, parse, parse_poly)
+from orbitgcd.polyparse import MAX_EXPONENT, PolyParseError, format_poly, parse
 
 
 def test_basic_terms():
@@ -84,13 +83,13 @@ def test_empty_and_garbage_inputs():
             parse(text, 2)
 
 
-def test_poly_source_validation():
-    src = PolySource(text="x0 + x1", arity=2)
-    assert parse_poly(src) == parse("x0 + x1", 2)
-    with pytest.raises(PolyParseError):
-        PolySource(text="", arity=2)
-    with pytest.raises(PolyParseError):
-        PolySource(text="x0", arity=0)
+def test_parse_rejects_empty_source_and_bad_arity():
+    with pytest.raises(PolyParseError, match="empty polynomial source"):
+        parse("", 2)
+    with pytest.raises(PolyParseError, match="arity must be positive"):
+        parse("x0", 0)
+    with pytest.raises(PolyParseError, match="arity must be positive"):
+        parse("5", 0)
 
 
 def test_format_zero_and_constants():
