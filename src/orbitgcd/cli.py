@@ -40,10 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="JSON scenario configuration")
     run.add_argument("--n-max", type=int, default=None,
                      help="override the number of iterates")
-    run.add_argument("--a", type=int, default=2,
-                     help="first multiplier for the diag scenario")
-    run.add_argument("--b", type=int, default=3,
-                     help="second multiplier for the diag scenario")
+    run.add_argument("--a", type=int, default=None,
+                     help="first multiplier for the diag scenario (default 2)")
+    run.add_argument("--b", type=int, default=None,
+                     help="second multiplier for the diag scenario (default 3)")
     run.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="report format (default csv)")
     run.add_argument("--out", metavar="FILE", default=None,
@@ -90,11 +90,17 @@ def _flags_sidecar_path(out_path: str) -> str:
 
 
 def cmd_run(args: argparse.Namespace, seed: int) -> int:
+    for flag, value in (("--a", args.a), ("--b", args.b)):
+        if value is not None and args.scenario != "diag":
+            raise experiments.ConfigError(
+                "%s: only the diag scenario takes a multiplier" % flag)
     if args.config:
         config = experiments.load_config_file(args.config)
         name = os.path.splitext(os.path.basename(args.config))[0]
     elif args.scenario:
-        config = experiments.builtin_scenario(args.scenario, a=args.a, b=args.b)
+        multipliers = {k: v for k, v in (("a", args.a), ("b", args.b))
+                       if v is not None}
+        config = experiments.builtin_scenario(args.scenario, **multipliers)
         name = args.scenario
     else:
         raise experiments.ConfigError("run: need --scenario or --config")

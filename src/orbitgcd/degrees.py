@@ -34,6 +34,9 @@ from .projgeom import ProjPoint, RationalMap
 # cap on the raw degree deg(f^n) * deg(f) of the next iterate composition
 DEFAULT_DEGREE_BUDGET = 3 ** 6
 
+SHEAR_TRIES = 8  # random shears per fiber-count target before giving up
+GENERICITY_MAX_DEGREE = 2  # top hypersurface degree of the genericity check
+
 # Fixed large primes for exact-rank certificates (full rank mod p implies
 # full rank over Q).  Primality is asserted in the test suite.
 _RANK_PRIMES = (2305843009213693951, 1000000000000000009, 999999999999999989)
@@ -134,24 +137,16 @@ def _histogram_modes(hist: Dict[int, int]) -> List[Tuple[int, int]]:
 
 
 def _chart_terms(fi: Terms, t: int, f_last: Terms, prime: int) -> Terms:
-    """Terms of f_i - t * f_last, the chart equation for target value t."""
-    out = list(fi)
-    mt = (-t) % prime
-    out.extend(((mt * c) % prime, e) for c, e in f_last)
-    return [(c, e) for c, e in out if c]
+    """Terms of f_i - t * f_last, the chart equation for target value t,
+    one per exponent; empty when the equation vanishes identically."""
+    acc = {e: c for c, e in fi}
+    for c, e in f_last:
+        acc[e] = (acc.get(e, 0) - t * c) % prime
+    return [(c, e) for e, c in acc.items() if c]
 
 
 def _xy_degree(terms: Terms) -> int:
     return max(e[0] + e[1] for _, e in terms)
-
-
-def _top_form_value(terms: Terms, alpha: int, gamma: int, prime: int) -> int:
-    d = _xy_degree(terms)
-    acc = 0
-    for c, (e0, e1, _) in terms:
-        if e0 + e1 == d:
-            acc = (acc + c * pow(alpha, e0, prime) * pow(gamma, e1, prime)) % prime
-    return acc
 
 
 def _specialized(comps: Sequence[Terms], shear: Tuple[int, int, int, int],
@@ -241,22 +236,22 @@ def _line_form(terms: Terms, prime: int) -> Uni:
     return out
 
 
-def _line_count(comps: List[Terms], a: int, b: int, prime: int) -> int:
+def _line_count(g1: Terms, g2: Terms, f2: Terms, prime: int) -> int:
     """Distinct fiber points on the line z=0, excluding base points.
 
-    On that locus the conditions f0 = a*f2 and f1 = b*f2 reduce to a pair
-    of binary forms; common roots where f2 also vanishes are base points
-    of the map and are not fiber points.
+    g1, g2 are the chart equations f0 - a*f2 and f1 - b*f2 (neither
+    empty).  On that locus they reduce to a pair of binary forms; common
+    roots where f2 also vanishes are base points of the map and are not
+    fiber points.
     """
-    f0, f1, f2 = comps
-    g1_raw = _line_form(_chart_terms(f0, a, f2, prime), prime)
-    g2_raw = _line_form(_chart_terms(f1, b, f2, prime), prime)
+    g1_raw = _line_form(g1, prime)
+    g2_raw = _line_form(g2, prime)
     phi_raw = _line_form(f2, prime)
     d = len(g1_raw) - 1
-    g1 = ffield.uni_norm(list(g1_raw))
-    g2 = ffield.uni_norm(list(g2_raw))
+    l1 = ffield.uni_norm(list(g1_raw))
+    l2 = ffield.uni_norm(list(g2_raw))
     phi = ffield.uni_norm(list(phi_raw))
-    h = ffield.uni_gcd(g1, g2, prime)  # gcd(0, g) = g, so zeros are safe
+    h = ffield.uni_gcd(l1, l2, prime)  # gcd(0, g) = g, so zeros are safe
     if not h:
         return 0  # both forms vanish on the whole line; degenerate, skip
     base = ffield.uni_gcd(h, phi, prime)
@@ -269,8 +264,8 @@ def _line_count(comps: List[Terms], a: int, b: int, prime: int) -> int:
 
 
 def geometric_fiber_count(comps: Sequence[Terms], prime: int,
-                          target_ab: Tuple[int, int], rng: random.Random,
-                          shear_tries: int = 8) -> Optional[int]:
+                          target_ab: Tuple[int, int], rng: random.Random
+                          ) -> Optional[int]:
     """#f^{-1}((a:b:1)) over the algebraic closure of F_p, base points excluded.
 
     comps are the components of f reduced mod p, none of them zero.  Two
@@ -278,7 +273,9 @@ def geometric_fiber_count(comps: Sequence[Terms], prime: int,
     (a shear can only undercount, when two fiber points collide in v).
     Each shear specializes the three components once per sample v0, and
     its main and auxiliary eliminants are all built from that memo (see
-    _eliminant).  Returns None when no shear produced a usable eliminant.
+    _eliminant).  A shear that drops a leading coefficient of a chart
+    equation fails at the first sample of _eliminant and is skipped.
+    Returns None when no shear produced a usable eliminant.
     """
     a, b = target_ab
     g1 = _chart_terms(comps[0], a, comps[2], prime)
@@ -287,17 +284,13 @@ def geometric_fiber_count(comps: Sequence[Terms], prime: int,
         return None  # target proportional to a component; resample
     if _xy_degree(g1) == 0 or _xy_degree(g2) == 0:
         # a chart equation is a nonzero constant: no affine fiber points
-        return _line_count(comps, a, b, prime)
+        return _line_count(g1, g2, comps[2], prime)
 
     counts: List[int] = []
-    for _ in range(shear_tries):
+    for _ in range(SHEAR_TRIES):
         al, ga = rng.randrange(1, prime), rng.randrange(prime)
         be, de = rng.randrange(prime), rng.randrange(1, prime)
         if (al * de - be * ga) % prime == 0:
-            continue
-        if _top_form_value(g1, al, ga, prime) == 0:
-            continue
-        if _top_form_value(g2, al, ga, prime) == 0:
             continue
         shear = (al, be, ga, de)
         sheared = functools.lru_cache(maxsize=None)(
@@ -326,7 +319,7 @@ def geometric_fiber_count(comps: Sequence[Terms], prime: int,
             break
     if not counts:
         return None
-    return max(counts) + _line_count(comps, a, b, prime)
+    return max(counts) + _line_count(g1, g2, comps[2], prime)
 
 
 def topological_degree_ff(f: RationalMap, primes: Sequence[int],
@@ -445,11 +438,9 @@ def rational_fiber_count(f: RationalMap, prime: int,
 
 
 def _bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free elimination."""
+    """Exact determinant of a square matrix by fraction-free elimination."""
     m = [list(map(int, row)) for row in matrix]
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -466,27 +457,6 @@ def _bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-@dataclass(frozen=True)
-class MonomialMap:
-    """Integer exponent matrix of a dominant monomial self-map."""
-    matrix: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.matrix)
-        if n < 1 or any(len(row) != n for row in self.matrix):
-            raise ValueError("matrix must be square and non-empty")
-        if _bareiss_det(self.matrix) == 0:
-            raise ValueError("matrix is singular")
-
-    @property
-    def size(self) -> int:
-        return len(self.matrix)
-
-
-def make_monomial_map(matrix: Sequence[Sequence[int]]) -> MonomialMap:
-    return MonomialMap(tuple(tuple(int(v) for v in row) for row in matrix))
 
 
 def _char_poly_coeffs(matrix: Sequence[Sequence[int]]) -> List[int]:
@@ -511,37 +481,43 @@ def _char_poly_coeffs(matrix: Sequence[Sequence[int]]) -> List[int]:
     return coeffs
 
 
-def monomial_dyn_degrees(A: "MonomialMap | Sequence[Sequence[int]]") -> List[float]:
-    """d_0..d_N for the monomial map of exponent matrix A: the i-th entry is
-    the product of the i largest eigenvalue moduli; d_N is |det A| exactly.
+def monomial_dyn_degrees(matrix: Sequence[Sequence[int]]) -> List[float]:
+    """d_0..d_N for the dominant monomial map of integer exponent matrix A:
+    the i-th entry is the product of the i largest eigenvalue moduli; d_N
+    is |det A| exactly.
 
     Roots come from numpy's companion-matrix eigenvalues and are
-    cross-checked against the exact determinant and trace.
+    cross-checked against the exact determinant and trace.  Raises
+    ValueError for a matrix that is not square, is empty or singular, or
+    whose characteristic polynomial leaves the floating-point range.
     """
     import numpy  # deferred: the only numpy use, and most of the import time
 
-    mono = A if isinstance(A, MonomialMap) else make_monomial_map(A)
-    matrix = mono.matrix
-    n = mono.size
+    n = len(matrix)
+    if n < 1 or any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square and non-empty")
     det = _bareiss_det(matrix)
+    if det == 0:
+        raise ValueError("matrix is singular")
     coeffs = _char_poly_coeffs(matrix)
-    roots = numpy.roots(numpy.array(coeffs, dtype=float))
+    try:
+        roots = numpy.roots(numpy.array(coeffs, dtype=float))
+    except OverflowError:
+        raise ValueError("characteristic polynomial coefficient too large "
+                         "for floating point") from None
     moduli = sorted((abs(complex(r)) for r in roots), reverse=True)
 
-    prod_all = 1.0
-    for m in moduli:
-        prod_all *= m
-    if abs(prod_all - abs(det)) > 1e-10 * max(1.0, abs(det)):
-        raise RuntimeError("eigenvalue moduli disagree with |det| beyond tolerance")
-    trace = sum(matrix[i][i] for i in range(n))
-    if abs(sum(complex(r) for r in roots).real - trace) > 1e-8 * max(1.0, abs(trace)):
-        raise RuntimeError("eigenvalue sum disagrees with trace beyond tolerance")
-
     out = [1.0]
-    acc = 1.0
-    for i, m in enumerate(moduli):
-        acc *= m
-        out.append(float(abs(det)) if i == n - 1 else acc)
+    for m in moduli:
+        out.append(out[-1] * m)
+    if abs(out[-1] - abs(det)) > 1e-10 * max(1.0, abs(det)):
+        raise RuntimeError("eigenvalue moduli disagree with |det| beyond tolerance")
+    # the rounding error of the eigenvalue sum scales with the moduli, not
+    # with the trace, which cancels to 0 for a zero diagonal
+    trace = sum(matrix[i][i] for i in range(n))
+    if abs(sum(complex(r) for r in roots).real - trace) > 1e-8 * max(1.0, sum(moduli)):
+        raise RuntimeError("eigenvalue sum disagrees with trace beyond tolerance")
+    out[-1] = float(abs(det))
     return out
 
 
@@ -556,7 +532,6 @@ class AlphaEstimate:
     root_index: int
     ratio_steps: Tuple[int, int]  # first and last step index used
     degenerate: bool = False
-    note: Optional[str] = None
 
 
 def arithmetic_degree_estimate(heights: Sequence[float]) -> AlphaEstimate:
@@ -571,8 +546,7 @@ def arithmetic_degree_estimate(heights: Sequence[float]) -> AlphaEstimate:
     if len(finite) < 4:
         raise ValueError("need at least 4 finite height entries")
     if all(h == 0.0 for h in hs):
-        return AlphaEstimate(1.0, 1.0, len(hs) - 1, (0, 0), degenerate=True,
-                             note="all heights zero")
+        return AlphaEstimate(1.0, 1.0, len(hs) - 1, (0, 0), degenerate=True)
     n_last = len(hs) - 1
     while n_last > 0 and not math.isfinite(hs[n_last]):
         n_last -= 1
@@ -588,17 +562,13 @@ def arithmetic_degree_estimate(heights: Sequence[float]) -> AlphaEstimate:
                 out.append((i, hs[i + 1] / hs[i]))
         return out
 
-    steps = steps_in(first)
-    note = None
+    # an empty tail window falls back to all usable steps
+    steps = steps_in(first) or steps_in(0)
     if not steps:
-        steps = steps_in(0)
-        note = "tail window empty; used all usable steps"
-    if not steps:
-        return AlphaEstimate(root_tail, 1.0, n_last, (0, 0), degenerate=True,
-                             note="no usable height quotients")
+        return AlphaEstimate(root_tail, 1.0, n_last, (0, 0), degenerate=True)
     log_mean = sum(math.log(s) for _, s in steps) / len(steps)
     return AlphaEstimate(root_tail, math.exp(log_mean), n_last,
-                         (steps[0][0], steps[-1][0]), note=note)
+                         (steps[0][0], steps[-1][0]))
 
 
 def alpha_estimate_rows(heights: Sequence[float]) -> List[Tuple[int, float, Optional[float]]]:
@@ -679,10 +649,9 @@ def _rank_mod(rows: List[List[int]], prime: int) -> int:
     return rank
 
 
-def orbit_genericity_heuristic(points: Sequence[ProjPoint],
-                               max_degree: int = 2) -> GenericityReport:
-    """Heuristic check that no hypersurface of small degree contains the
-    computed orbit segment.
+def orbit_genericity_heuristic(points: Sequence[ProjPoint]) -> GenericityReport:
+    """Heuristic check that no hypersurface of degree at most
+    GENERICITY_MAX_DEGREE contains the computed orbit segment.
 
     Full column rank of the monomial-evaluation matrix modulo a large
     prime certifies full rank over Q, hence no containing hypersurface of
@@ -695,7 +664,7 @@ def orbit_genericity_heuristic(points: Sequence[ProjPoint],
     by_degree: Dict[int, str] = {}
     verdict = "generic-consistent"
     details: List[str] = []
-    for d in range(1, max_degree + 1):
+    for d in range(1, GENERICITY_MAX_DEGREE + 1):
         monos = _monomial_exponents(arity, d)
         if len(points) < len(monos):
             by_degree[d] = "insufficient"
@@ -722,7 +691,7 @@ def orbit_genericity_heuristic(points: Sequence[ProjPoint],
             details.append("degree %d evaluation matrix is rank-deficient "
                            "mod %d primes" % (d, len(_RANK_PRIMES)))
     detail = "; ".join(details) if details else \
-        "no hypersurface of degree <= %d contains the orbit segment" % max_degree
+        "no hypersurface of degree <= %d contains the orbit segment" % GENERICITY_MAX_DEGREE
     return GenericityReport(verdict, detail, by_degree)
 
 

@@ -13,6 +13,7 @@ report.flags; purely informational notes land in report.advisories.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -450,13 +451,13 @@ def run_scenario(config: ScenarioConfig, name: str = "custom",
     flags: List[str] = []
 
     series = heights.height_ratio_series(f, ideal, x0, config.n_max)
-    rows = series.rows
-    if series.indeterminate_at is not None:
+    rows, orb = series.rows, series.orbit
+    if orb.indeterminate_at is not None:
         flags.append("orbit entered the indeterminacy locus at n=%d; "
-                     "series truncated" % series.indeterminate_at)
-    if series.periodic:
+                     "series truncated" % orb.indeterminate_at)
+    if orb.periodic:
         flags.append("orbit is periodic (returns to the point of n=%d); "
-                     "series truncated" % series.period_start)
+                     "series truncated" % orb.period_start)
 
     # the largest n_seq with deg^n_seq <= composition_cap; since deg f^n <=
     # deg^n, the budget never stops this sequence
@@ -500,8 +501,8 @@ def run_scenario(config: ScenarioConfig, name: str = "custom",
             advisories.append(hyper.advisory)
 
     genericity = None
-    if series.orbit_points:
-        genericity = degrees.orbit_genericity_heuristic(series.orbit_points)
+    if orb.points:
+        genericity = degrees.orbit_genericity_heuristic(orb.points)
         if genericity.verdict == "possibly-contained":
             advisories.append("orbit segment may lie on a low-degree "
                               "hypersurface; genericity is doubtful")
@@ -510,8 +511,8 @@ def run_scenario(config: ScenarioConfig, name: str = "custom",
 
     return ScenarioReport(
         name=name, seed=seed, config=config, rows=rows,
-        indeterminate_at=series.indeterminate_at, periodic=series.periodic,
-        period_start=series.period_start, degree_seq=degseq, d1=d1,
+        indeterminate_at=orb.indeterminate_at, periodic=orb.periodic,
+        period_start=orb.period_start, degree_seq=degseq, d1=d1,
         fiber=fiber, alpha=alpha, trend=trend, hypotheses=hypotheses,
         hyperbolicity=hyper, genericity=genericity,
         closed_form_check=closed_form, advisories=advisories, flags=flags)
@@ -545,6 +546,11 @@ def render_csv(report: ScenarioReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fields(part: Any) -> Optional[Dict[str, Any]]:
+    """A report part as a dict keyed by its field names, or None."""
+    return dataclasses.asdict(part) if part is not None else None
+
+
 def _summary_dict(report: ScenarioReport) -> Dict[str, Any]:
     out: Dict[str, Any] = {
         "orbit_points": len(report.rows),
@@ -565,45 +571,19 @@ def _summary_dict(report: ScenarioReport) -> Dict[str, Any]:
             "ols_slope": report.trend.ols_slope,
             "ols_intercept": report.trend.ols_intercept,
         },
-        "hypothesis_check": {
-            "alpha": report.hypotheses.alpha,
-            "d_top": report.hypotheses.d_top,
-            "back_contained": report.hypotheses.back_contained,
-            "is_morphism": report.hypotheses.is_morphism,
-            "orbit_generic": report.hypotheses.orbit_generic,
-            "verdict": report.hypotheses.verdict,
-        },
+        "hypothesis_check": _fields(report.hypotheses),
         "closed_form_check": report.closed_form_check,
         "advisories": list(report.advisories),
+        "alpha": _fields(report.alpha),
+        "alpha_estimates": [],
+        "fiber": report.fiber.as_dict() if report.fiber is not None else None,
+        "hyperbolicity": _fields(report.hyperbolicity),
+        "genericity": _fields(report.genericity),
     }
     if report.alpha is not None:
-        out["alpha"] = {"root_tail": report.alpha.root_tail,
-                        "ratio_tail": report.alpha.ratio_tail,
-                        "root_index": report.alpha.root_index,
-                        "ratio_steps": list(report.alpha.ratio_steps),
-                        "degenerate": report.alpha.degenerate}
         out["alpha_estimates"] = [
             [n, root, step] for n, root, step in
             degrees.alpha_estimate_rows([r.h for r in report.rows])]
-    else:
-        out["alpha"] = None
-        out["alpha_estimates"] = []
-    out["fiber"] = report.fiber.as_dict() if report.fiber is not None else None
-    if report.hyperbolicity is not None:
-        hy = report.hyperbolicity
-        out["hyperbolicity"] = {"d1": hy.d1, "d2": hy.d2, "alpha": hy.alpha,
-                                "hyperbolic": hy.hyperbolic,
-                                "alpha_matches_d1": hy.alpha_matches_d1,
-                                "advisory": hy.advisory}
-    else:
-        out["hyperbolicity"] = None
-    if report.genericity is not None:
-        out["genericity"] = {"verdict": report.genericity.verdict,
-                             "detail": report.genericity.detail,
-                             "by_degree": {str(k): v for k, v in
-                                           sorted(report.genericity.by_degree.items())}}
-    else:
-        out["genericity"] = None
     return out
 
 

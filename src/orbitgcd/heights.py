@@ -133,32 +133,22 @@ def bcz_closed_form(a: int, b: int, n: int) -> BczRow:
     return BczRow(h, h_y, h_y / h)
 
 
-def _iroot(m: int, k: int) -> int:
-    """Floor k-th root by integer Newton iteration."""
-    if m < 2 or k == 1:
-        return m
-    x = 1 << -(-m.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + m // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
 def multiplicatively_dependent(a: int, b: int) -> bool:
     """True when a^i = b^j has a solution with i, j >= 1 (a, b >= 2).
 
-    Both numbers are written as c^k with c minimal (not a perfect power);
-    dependence is equivalent to sharing that base c.
+    Dependent numbers are powers c^i, c^j of one base, so the smaller
+    divides the larger and their quotient is again a power of c.  Dividing
+    the larger by the smaller until the two meet is Euclid's algorithm on
+    the exponents; a remainder on the way proves independence.
     """
-    def root_base(m: int) -> int:
-        for k in range(m.bit_length(), 1, -1):
-            r = _iroot(m, k)
-            if r >= 2 and r ** k == m:
-                return root_base(r)
-        return m
-
-    return root_base(a) == root_base(b)
+    if a < 2 or b < 2:
+        raise ValueError("bases must be >= 2")
+    while a != b:
+        a, b = min(a, b), max(a, b)
+        if b % a:
+            return False
+        b //= a
+    return True
 
 
 @dataclass(frozen=True)
@@ -175,18 +165,15 @@ class HeightRow:
 
 @dataclass
 class HeightSeries:
-    """Per-iterate heights along an orbit; flags copied from the orbit."""
+    """Per-iterate heights along an orbit, one row per orbit point."""
     rows: List[HeightRow]
-    indeterminate_at: Optional[int]
-    periodic: bool
-    period_start: Optional[int]
-    orbit_points: List[ProjPoint]
+    orbit: projgeom.OrbitResult
 
 
 def height_ratio_series(f: RationalMap, Y: SubschemeIdeal, x0: ProjPoint,
                         n_max: int) -> HeightSeries:
-    """One HeightRow per point of the orbit of x0; truncation and
-    periodicity flags propagate from the orbit computation."""
+    """One HeightRow per point of the orbit of x0; the truncation and
+    periodicity flags stay on the orbit."""
     orb = projgeom.orbit(f, x0, n_max)
     rows: List[HeightRow] = []
     for n, pt in enumerate(orb.points):
@@ -198,5 +185,4 @@ def height_ratio_series(f: RationalMap, Y: SubschemeIdeal, x0: ProjPoint,
             ratio = hy.total / h
         bits = max(c.bit_length() for c in pt.coords)
         rows.append(HeightRow(n, bits, h, hy, ratio))
-    return HeightSeries(rows, orb.indeterminate_at, orb.periodic,
-                        orb.period_start, orb.points)
+    return HeightSeries(rows, orb)

@@ -78,7 +78,7 @@ def test_criterion_2_orbit_coordinates_and_limit_ratio(capsys):
     f = pmap(*BACKNONFIN)
     series = height_ratio_series(f, COORD_AXES, make_point((3, 2, 1)), 12)
     failures = []
-    for n, pt in enumerate(series.orbit_points):
+    for n, pt in enumerate(series.orbit.points):
         expected = (3 ** (2 ** n) * 2 ** (3 ** n - 2 ** n), 2 ** (3 ** n), 1)
         if pt.coords != expected:
             failures.append("coords at n=%d" % n)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitgcd
 from orbitgcd import __version__
 from orbitgcd.cli import main
 from orbitgcd.experiments import CSV_HEADER
@@ -288,6 +290,15 @@ def test_diag_parameters_flow_through(capsys):
     assert main(["run", "--scenario", "diag", "--a", "1"]) == 1
 
 
+def test_multipliers_are_rejected_outside_diag(tmp_path, capsys):
+    cfg = write_config(tmp_path, "periodic.json", PERIODIC_CONFIG)
+    for argv in (["--scenario", "bcz", "--a", "5"],
+                 ["--scenario", "backnonfin", "--b", "5"],
+                 ["--config", cfg, "--a", "3"]):
+        assert main(["run"] + argv) == 1
+        assert "error: %s: " % argv[-2] in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # seed resolution
 
@@ -341,6 +352,11 @@ def test_degrees_matrix_errors(capsys):
     assert main(["degrees", "--matrix", "1,2;2,4"]) == 1  # singular
     assert main(["degrees", "--matrix", "1,x;2,3"]) == 1
     assert main(["degrees"]) == 1
+    capsys.readouterr()
+    huge = str(10 ** 200)
+    for text in (str(10 ** 400) + ",0;0,1", "%s,0;0,%s" % (huge, huge)):
+        assert main(["degrees", "--matrix", text]) == 1
+        assert "error: matrix: " in capsys.readouterr().err
 
 
 def test_degrees_map_payload(capsys):
@@ -396,6 +412,15 @@ def test_console_script_smoke():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == CSV_HEADER
     assert proc.stderr.splitlines()[0] == BANNER % (__version__, 0)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is most of the import time, and only --matrix needs it
+    src = os.path.dirname(os.path.dirname(orbitgcd.__file__))
+    code = "import sys, orbitgcd.cli; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0
 
 
 def test_module_entry_point_smoke():

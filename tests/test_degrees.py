@@ -193,6 +193,27 @@ def test_fiber_histogram_pinned_for_a_quadratic_with_a_base_point():
     assert rng.randrange(10 ** 9) == 728549938
 
 
+def test_chart_equation_vanishing_identically_returns_none():
+    # f0 - 2*f2 = 0, so the fiber over (2:5:1) is a curve, not a count;
+    # the chart equation must merge 2*x2^2 and -2*x2^2 into nothing
+    f = pmap("2*x2^2", "x1^2", "x2^2")
+    assert geometric_fiber_count(reduced(f, 1009), 1009, (2, 5),
+                                 random.Random(0)) is None
+
+
+@pytest.mark.parametrize("prime", [1009, 2003])
+@pytest.mark.parametrize("comps, mode", [
+    (CREMONA, 1),
+    (("x0^2 + x1*x2", "x0*x1 + x1^2 - x0*x2", "x0^2 - x1^2 + 3*x0*x1"), 3),
+])
+def test_base_point_in_the_chart_is_stripped_from_the_count(comps, mode, prime):
+    # each map has a base point in the chart z = 1, which every eliminant
+    # shares; counting it as a fiber point gives mode + 1
+    report = topological_degree_ff(pmap(*comps), [prime], 10,
+                                   rng=random.Random(0))
+    assert report.mode == mode
+
+
 def _specialized_direct(terms, shear, v0, prime):
     """One chart poly at z=1, sheared x=a*u+b*v, y=g*u+d*v, then v=v0,
     built term by term from repeated products."""
@@ -288,6 +309,14 @@ def test_monomial_rejects_singular_and_ragged():
         monomial_dyn_degrees([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         monomial_dyn_degrees([[1, 2, 3], [4, 5, 6]])
+
+
+def test_monomial_degrees_with_a_zero_diagonal():
+    # the trace is 0 but the eigenvalues are near 1e8, so their float sum
+    # misses 0 by about 1e-8
+    m = [[0, -84934517, -2091914], [-46356016, 0, -4224924],
+         [-99574598, 67366674, 0]]
+    assert monomial_dyn_degrees(m)[3] == float(abs(_det3(m)))
 
 
 def _det3(m):

@@ -257,6 +257,24 @@ def test_multiplicative_dependence_powers_of_common_base():
         assert multiplicatively_dependent(base ** i, base ** j)
 
 
+
+def test_multiplicative_dependence_matches_smallest_root_base():
+    # a^i = b^j exactly when a and b are powers of the same smallest base
+    def root_base(m):
+        for c in range(2, m + 1):
+            power = c
+            while power < m:
+                power *= c
+            if power == m:
+                return c
+
+    bases = {m: root_base(m) for m in range(2, 260)}
+    for a in bases:
+        for b in bases:
+            assert multiplicatively_dependent(a, b) == (bases[a] == bases[b])
+    with pytest.raises(ValueError):
+        multiplicatively_dependent(1, 3)
+
 # ---------------------------------------------------------------------------
 # ratio series along orbits
 
@@ -265,9 +283,9 @@ def test_series_rows_and_ratio_definition():
     f = pmap("x0^2*x1", "x1^3", "x2^3")
     series = height_ratio_series(f, COORD_AXES, make_point((3, 2, 1)), 5)
     assert len(series.rows) == 6
-    assert len(series.orbit_points) == 6
+    assert len(series.orbit.points) == 6
     for row in series.rows:
-        pt = series.orbit_points[row.n]
+        pt = series.orbit.points[row.n]
         assert row.h == weil_height(pt)
         assert row.bits == max(c.bit_length() for c in pt.coords)
         if row.h > 0 and not row.height.infinite:
@@ -292,7 +310,7 @@ def test_series_truncates_with_orbit():
     f = pmap("x0^2*x1", "x1^3", "x2^3")
     series = height_ratio_series(f, COORD_AXES, make_point((1, 0, 0)), 4)
     assert series.rows == []
-    assert series.indeterminate_at == 0
+    assert series.orbit.indeterminate_at == 0
 
 
 def test_backnonfin_ratio_closed_form_small_n():
