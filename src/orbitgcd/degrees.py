@@ -437,28 +437,6 @@ def rational_fiber_count(f: RationalMap, prime: int,
 # monomial maps
 
 
-def _bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square matrix by fraction-free elimination."""
-    m = [list(map(int, row)) for row in matrix]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def _char_poly_coeffs(matrix: Sequence[Sequence[int]]) -> List[int]:
     """Exact characteristic polynomial lambda^n + c1 lambda^{n-1} + ... + cn
     by the Faddeev-LeVerrier recursion; every division is exact."""
@@ -492,11 +470,12 @@ def monomial_dyn_degrees(matrix: Sequence[Sequence[int]]) -> List[float]:
     whose characteristic polynomial leaves the floating-point range.
     """
     import numpy  # deferred: the only numpy use, and most of the import time
+    from .elimination import bareiss_det  # deferred with numpy
 
     n = len(matrix)
     if n < 1 or any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square and non-empty")
-    det = _bareiss_det(matrix)
+    det = bareiss_det([list(map(int, row)) for row in matrix])
     if det == 0:
         raise ValueError("matrix is singular")
     coeffs = _char_poly_coeffs(matrix)

@@ -297,9 +297,7 @@ class ScenarioReport:
     seed: int
     config: ScenarioConfig
     rows: List[HeightRow]
-    indeterminate_at: Optional[int]
-    periodic: bool
-    period_start: Optional[int]
+    orbit: projgeom.OrbitResult
     degree_seq: Optional[DegreeSequence]
     d1: Optional[float]
     fiber: Optional[FiberCountReport]
@@ -412,6 +410,10 @@ def _closed_form_check(config: ScenarioConfig, rows: Sequence[HeightRow],
     except (KeyError, ValueError):
         flags.append("closed-form check requested but parameters a, b missing")
         return None
+    if a < 2 or b < 2:
+        flags.append("closed-form check requested but parameters a, b "
+                     "must be >= 2")
+        return None
     if tuple(config.start) != (1, 1, 1):
         advisories.append("closed-form cross-check skipped: start is not (1:1:1)")
         return None
@@ -510,9 +512,8 @@ def run_scenario(config: ScenarioConfig, name: str = "custom",
     closed_form = _closed_form_check(config, rows, advisories, flags)
 
     return ScenarioReport(
-        name=name, seed=seed, config=config, rows=rows,
-        indeterminate_at=orb.indeterminate_at, periodic=orb.periodic,
-        period_start=orb.period_start, degree_seq=degseq, d1=d1,
+        name=name, seed=seed, config=config, rows=rows, orbit=orb,
+        degree_seq=degseq, d1=d1,
         fiber=fiber, alpha=alpha, trend=trend, hypotheses=hypotheses,
         hyperbolicity=hyper, genericity=genericity,
         closed_form_check=closed_form, advisories=advisories, flags=flags)
@@ -554,9 +555,9 @@ def _fields(part: Any) -> Optional[Dict[str, Any]]:
 def _summary_dict(report: ScenarioReport) -> Dict[str, Any]:
     out: Dict[str, Any] = {
         "orbit_points": len(report.rows),
-        "indeterminate_at": report.indeterminate_at,
-        "periodic": report.periodic,
-        "period_start": report.period_start,
+        "indeterminate_at": report.orbit.indeterminate_at,
+        "periodic": report.orbit.periodic,
+        "period_start": report.orbit.period_start,
         "d1_estimate": report.d1,
         "degree_sequence": [list(e) for e in report.degree_seq.entries]
         if report.degree_seq else None,

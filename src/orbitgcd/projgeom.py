@@ -10,6 +10,26 @@ The last point of an orbit needs no image, only that zero test, so it is
 evaluated mod SCREEN_PRIME first: a nonzero residue proves that the point
 is outside the base locus, and only when every residue is 0 are the
 components evaluated exactly.
+
+An orbit step divides the values f_i(x) by g = gcd_i f_i(x), the
+generalized gcd of x along the base scheme of f.  For a map of P^2 a
+divisor certificate skips the full-size gcd: for each variable x_k and
+each pair of components of which at least one involves x_k, the integer
+resultant R = Res_{x_k}(f_i, f_j) is a binary form in the other two
+variables with R = A*f_i + B*f_j, so every prime of g divides R(x).
+Writing R = c * P with c its content, every prime of R(x) divides c * S(x)
+for the primitive squarefree part S of P.  A pair that shares a factor
+gives R = 0 and is dropped; so is a pair that does not involve x_k, whose
+empty Sylvester determinant 1 satisfies no such identity.  Only forms with
+deg S < deg f are kept, since only then is c * S(x) smaller than the
+values.  The gcd G of the kept c * S(x) bounds the primes of g: G = 1
+proves g = 1, and otherwise g comes from gcds of G with the values.
+The certificate is built, by orbitgcd.elimination, the first time a
+step's smallest nonzero value reaches CERTIFICATE_MIN_BITS, where the
+full gcd starts to cost more than the build.  Below that size, for other
+arities, for maps with no kept form, and where every kept c * S(x) is 0,
+the step folds the gcd over the values themselves; either way the point
+is the same.
 """
 
 from __future__ import annotations
@@ -25,6 +45,11 @@ Coords = Tuple[int, ...]
 
 # word-size prime for the base-locus test at the last orbit point
 SCREEN_PRIME = 2 ** 61 - 1
+# An orbit step uses the divisor certificate once its smallest nonzero
+# value has this many bits: the gcd fold's first full gcd runs at that
+# size, and math.gcd of two such numbers takes about as long (2.4 ms on a
+# 2-core Xeon) as building the certificate of a sparse cubic map.
+CERTIFICATE_MIN_BITS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -40,22 +65,40 @@ class ProjPoint:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
 
 
-def make_point(raw: Sequence[int]) -> ProjPoint:
-    """Canonical representative of the projective point with these coordinates."""
+def make_point(raw: Sequence[int], support: int = 0) -> ProjPoint:
+    """Canonical representative of the projective point with these coordinates.
+
+    A nonzero support is an integer divisible by every prime that divides
+    all the coordinates, such as the value of a divisor certificate; the
+    common factor is then found by gcds with it instead of among the
+    coordinates themselves.
+    """
     coords = [int(c) for c in raw]
     if len(coords) < 2:
         raise ValueError("a projective point needs at least two coordinates")
-    # smallest first: math.gcd is quadratic, and the running gcd is at most
-    # as large as the smallest coordinate folded so far
-    g = 0
-    for c in sorted(coords, key=abs):
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    if g == 0:
+    if not any(coords):
         raise ValueError("all coordinates are zero")
-    if g != 1:
-        coords = [c // g for c in coords]
+    if support:
+        # h = gcd(support, coords) has every prime of gcd(coords); after
+        # dividing by it, the primes of what is left still divide h
+        h = support
+        while h != 1:
+            for c in coords:
+                h = math.gcd(h, c % h)
+                if h == 1:
+                    break
+            else:
+                coords = [c // h for c in coords]
+    else:
+        # smallest first: math.gcd is quadratic, and the running gcd is at
+        # most as large as the smallest coordinate folded so far
+        g = 0
+        for c in sorted(coords, key=abs):
+            g = math.gcd(g, c)
+            if g == 1:
+                break
+        if g != 1:
+            coords = [c // g for c in coords]
     for c in coords:
         if c != 0:
             if c < 0:
@@ -206,13 +249,16 @@ def orbit(f: RationalMap, x0: ProjPoint, n_max: int) -> OrbitResult:
     """Successive images of x0, stopping at n_max, indeterminacy, or a cycle.
 
     Points before x_{n_max} are evaluated exactly, since their values give
-    the next point.  x_{n_max} itself is only tested for indeterminacy, by
-    residues mod SCREEN_PRIME with an exact fallback when all of them are 0.
+    the next point; from CERTIFICATE_MIN_BITS on, the divisor certificate
+    of f bounds their common factor.  x_{n_max} itself is only tested for
+    indeterminacy, by residues mod SCREEN_PRIME with an exact fallback
+    when all of them are 0.
     """
     if f.arity != x0.arity:
         raise ValueError("map arity %d vs point arity %d" % (f.arity, x0.arity))
     result = OrbitResult()
     seen: dict = {}
+    cert = None  # the divisor certificate, built at the first large step
     current = x0
     for n in range(n_max + 1):
         key = current.coords
@@ -232,5 +278,11 @@ def orbit(f: RationalMap, x0: ProjPoint, n_max: int) -> OrbitResult:
             break
         seen[key] = n
         result.points.append(current)
-        current = make_point(values)
+        support = 0
+        if min(v.bit_length() for v in values if v) >= CERTIFICATE_MIN_BITS:
+            from . import elimination  # deferred: most orbits never need it
+            if cert is None:
+                cert = elimination.divisor_certificate(f)
+            support = elimination.certified_support(cert, key)
+        current = make_point(values, support)
     return result

@@ -211,6 +211,19 @@ def test_zero_height_after_a_positive_one_does_not_crash(tmp_path, capsys):
     assert payload["summary"]["alpha"]["degenerate"] is False
 
 
+def test_closed_form_bases_below_two_are_flagged(tmp_path, capsys):
+    # the diagonal closed form needs a, b >= 2; a = 1 used to raise
+    data = {"arity": 3, "map": "2*x0; 3*x1; x2",
+            "ideal": ["x0 - x2", "x1 - x2"], "start": [1, 1, 1], "n_max": 5,
+            "metadata": {"closed_form": "diagonal", "a": "1", "b": "3"}}
+    cfg = write_config(tmp_path, "base1.json", data)
+    assert main(["run", "--config", cfg, "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["flags"] == ["closed-form check requested but parameters "
+                                "a, b must be >= 2"]
+    assert payload["summary"]["closed_form_check"] is None
+
+
 def test_degrees_and_run_share_the_fiber_flags(tmp_path, capsys):
     # the image of (x0^2 : x0*x1 : x1^2) is a conic, so every fiber over a
     # random target is empty
@@ -415,9 +428,11 @@ def test_console_script_smoke():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is most of the import time, and only --matrix needs it
+    # numpy is most of the import time, and only --matrix needs it; the
+    # elimination module only --matrix and orbits with large values
     src = os.path.dirname(os.path.dirname(orbitgcd.__file__))
-    code = "import sys, orbitgcd.cli; sys.exit('numpy' in sys.modules)"
+    code = ("import sys, orbitgcd.cli; sys.exit('numpy' in sys.modules "
+            "or 'orbitgcd.elimination' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], timeout=120,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0

@@ -255,7 +255,7 @@ def test_orbit_into_indeterminacy_sets_flag():
     # (1:0:1) -> (0:0:1), where all three components vanish
     cfg = small_config(map="x0*x1; x1^2; x0*x2", start=(1, 0, 1), n_max=5)
     report = run_scenario(cfg)
-    assert report.indeterminate_at == 1
+    assert report.orbit.indeterminate_at == 1
     assert len(report.rows) == 1
     assert any("indeterminacy" in f for f in report.flags)
 
@@ -280,7 +280,7 @@ def test_periodic_orbit_sets_flag():
     cfg = ScenarioConfig(arity=3, map="x1; x0; x2", ideal=("x0 - x1",),
                          start=(2, 5, 1), n_max=9)
     report = run_scenario(cfg)
-    assert report.periodic and report.period_start == 0
+    assert report.orbit.periodic and report.orbit.period_start == 0
     assert len(report.rows) == 2
     assert any("periodic" in f for f in report.flags)
 

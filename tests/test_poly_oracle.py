@@ -1,13 +1,15 @@
-"""gcd_multivar against sympy's gcd on random polynomials.
+"""gcd_multivar, resultant and the divisor certificate against sympy.
 
-Both homogeneous and non-homogeneous operands are drawn, in two and three
-variables, half of the pairs with a planted common factor.  sympy's gcd
-keeps the integer content, so the oracle is normalised to gcd_multivar's
-convention: primitive, with a positive leading coefficient in graded
-lexicographic order.
+For the gcd, both homogeneous and non-homogeneous operands are drawn, in
+two and three variables, half of the pairs with a planted common factor.
+sympy's gcd keeps the integer content, so the oracle is normalised to
+gcd_multivar's convention: primitive, with a positive leading coefficient
+in graded lexicographic order.  The certificate oracle rebuilds every
+(content, squarefree part) pair from sympy's resultant and factorisation.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from orbitgcd import elimination, polyparse, projgeom  # noqa: E402
 from orbitgcd.poly import BigPoly, const, gcd_multivar, mul  # noqa: E402
 
 GENS = sympy.symbols("x0:3")
@@ -64,3 +67,57 @@ def sympy_gcd_terms(p, q):
 def test_gcd_multivar_matches_sympy(pq):
     p, q = pq
     assert gcd_multivar(p, q).terms == sympy_gcd_terms(p, q)
+
+
+def _normalised_terms(expr):
+    """Term dict of a sympy expression, leading grlex coefficient > 0."""
+    terms = {tuple(e): int(c) for e, c in
+             sympy.Poly(expr, *GENS).terms() if c}
+    top = max(terms, key=lambda e: (sum(e), e))
+    sign = 1 if terms[top] > 0 else -1
+    return {e: sign * c for e, c in terms.items()}
+
+
+CERTIFICATE_MAPS = [
+    "x0^2*x1; x1^3; x2^3",
+    "x0^2*x1; x1^3 + x0^2*x1 + x0*x2^2; x2^3",
+    "4*x0^2; x1^2; x2^2",
+    "x0^2 + x1*x2; x1^2 - x0*x2; x2^2 + x0*x1",
+    "2*x0^2 - x0*x1 + 3*x1*x2; x0^2 + 2*x0*x2 - x1^2; 5*(x1 + 2*x2)^2",
+    "x0^3 - 2*x0*x1*x2 + x1^3; 3*x0^2*x2 + x1^2*x2 - x2^3; -2*(x1 - x2)^3",
+    "x0*x1*x2 + x1^3; x0^2*x2 - 2*x1^3; 6*x2^2*(x1 + x2)",
+]
+
+
+@pytest.mark.parametrize("map_text", CERTIFICATE_MAPS)
+def test_divisor_certificate_matches_sympy(map_text):
+    f = projgeom.make_map([polyparse.parse(t, 3) for t in map_text.split(";")])
+    comps = [c for c in f.components if c.terms]
+    want = {}
+    for k in range(3):
+        for a, b in itertools.combinations(comps, 2):
+            da, db = (max(e[k] for e in c.terms) for c in (a, b))
+            if da == db == 0:
+                continue  # the empty Sylvester matrix: no certificate
+            pa, pb = (sympy.Poly.from_dict(c.terms, *GENS, domain="ZZ")
+                      .as_expr() for c in (a, b))
+            # sympy 1.14 drops the sign (-1)^(da * db) when da < db, so ask
+            # it with the higher degree first
+            if da >= db:
+                r = sympy.resultant(pa, pb, GENS[k])
+            else:
+                r = (-1) ** (da * db) * sympy.resultant(pb, pa, GENS[k])
+            got = elimination.resultant(a, b, k)
+            if r == 0:
+                assert not got.terms
+                continue
+            assert got.terms == {tuple(e): int(c) for e, c in
+                                 sympy.Poly(r, *GENS).terms() if c}
+            content, factors = sympy.factor_list(r)
+            square_free = sympy.Mul(*[p for p, _ in factors])
+            if sympy.Poly(square_free, *GENS).total_degree() < f.degree:
+                key = tuple(sorted(_normalised_terms(square_free).items()))
+                want[key] = math.gcd(want.get(key, 0), abs(int(content)))
+    got = {tuple(sorted(s.terms.items())): c
+           for c, s in elimination.divisor_certificate(f)}
+    assert got == want

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitgcd import polyparse, projgeom
-from orbitgcd.poly import BigPoly, compose, eval_int, gcd_multivar, degree
+from orbitgcd import elimination, polyparse, projgeom
+from orbitgcd.elimination import resultant
+from orbitgcd.poly import BigPoly, compose, degree, eval_int, gcd_multivar
 from orbitgcd.projgeom import (OrbitResult, make_ideal, make_map, make_point,
                                orbit)
 
@@ -37,13 +38,16 @@ def test_make_point_rejects_degenerate():
 
 @settings(max_examples=80)
 @given(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=2, max_size=4),
-       st.integers(1, 10 ** 6))
-def test_point_representative_independence(coords, lam):
+       st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+def test_point_representative_independence(coords, lam, extra):
     if all(c == 0 for c in coords):
         coords[0] = 1
     a = make_point(coords)
-    b = make_point([lam * c for c in coords])
+    scaled = [lam * c for c in coords]
+    b = make_point(scaled)
     assert a == b
+    # any support with every prime of the common factor gives the same point
+    assert make_point(scaled, math.gcd(*scaled) * extra) == a
     assert math.gcd(*a.coords) == 1
     first = next(c for c in a.coords if c != 0)
     assert first > 0
@@ -240,6 +244,71 @@ def test_orbit_matches_exact_evaluation_at_every_point(q, coeffs, start, free,
     assume(any(raw))
     x0 = make_point(raw)
     assert orbit(f, x0, n_max) == _reference_orbit(f, x0, n_max)
+
+
+def test_certificate_skips_pairs_without_the_variable():
+    # f_1 = x1^2 and f_2 = x2^2 have no x0, so Res_{x0}(f_1, f_2) is the
+    # empty determinant 1; as a certificate it would claim g = 1 at
+    # (1:2:2), where the values (4, 4, 4) have g = 4
+    f = pmap("4*x0^2", "x1^2", "x2^2")
+    assert resultant(f.components[1], f.components[2], 0).terms == {(0, 0, 0): 1}
+    cert = elimination.divisor_certificate(f)
+    assert cert == tuple((c, polyparse.parse(s, 3))
+                         for c, s in ((1, "x1"), (1, "x2"), (16, "x0")))
+    x = make_point((1, 2, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projgeom, "CERTIFICATE_MIN_BITS", 0)
+        assert orbit(f, x, 1).points == [x, make_point((1, 1, 1))]
+    assert elimination.certified_support(cert, x.coords) == 2
+
+
+def test_certificate_is_empty_off_p2_and_without_small_forms():
+    assert elimination.divisor_certificate(pmap("x0^2", "x1^2", arity=2)) == ()
+    # every pair of this quadratic map meets in points with distinct
+    # projections, so each squarefree part has degree 4 >= 2
+    assert elimination.divisor_certificate(
+        pmap("x0^2 + x1*x2", "x1^2 - x0*x2", "x2^2 + x0*x1")) == ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3]), data=st.data(),
+       planted=st.tuples(st.integers(1, 4), st.integers(-4, 4).filter(bool),
+                         st.integers(-4, 4).filter(bool)),
+       moduli=st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=3),
+       n_max=st.integers(1, 4))
+def test_certified_orbit_matches_the_gcd_fold(d, data, planted, moduli, n_max):
+    # f_2 = c*l^d with l = beta*x1 - alpha*x2 free of x0, so Res_{x0}(f_i, f_2)
+    # is a power of c*l^d and l is a certificate form of degree 1 < d; f_0
+    # and f_1 vanish at the planted base point P = (a : alpha : beta) on
+    # l = 0, and the start is congruent to P mod m, so m divides g
+    a, alpha, beta = planted
+    monos = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) == d]
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(monos),
+                      max_size=len(monos))
+    comps = []
+    for _ in range(2):
+        g = BigPoly(3, dict(zip(monos, data.draw(coeffs))))
+        terms = {e: a ** d * c for e, c in g.terms.items()}
+        top = (d, 0, 0)
+        terms[top] = terms.get(top, 0) - eval_int(g, planted)
+        comps.append(BigPoly(3, terms))
+    line = BigPoly(3, {(0, 1, 0): beta, (0, 0, 1): -alpha})
+    power = BigPoly(3, {(0, 0, 0): data.draw(st.integers(1, 6))})
+    for _ in range(d):
+        power = power * line
+    comps.append(power)
+    f = make_map(comps)
+    assume(f.degree == d and elimination.divisor_certificate(f))
+    m = math.prod(moduli)
+    shift = data.draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+    raw = [p + m * t for p, t in zip(planted, shift)]
+    assume(math.gcd(*raw) == 1)
+    x0 = make_point(raw)
+    values = [eval_int(c, x0.coords) for c in f.components]
+    assert all(v % m == 0 for v in values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projgeom, "CERTIFICATE_MIN_BITS", 0)
+        assert orbit(f, x0, n_max) == _reference_orbit(f, x0, n_max)
 
 
 def test_orbit_arity_mismatch():
