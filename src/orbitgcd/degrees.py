@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import ffield, poly, projgeom
 from .ffield import Terms, Uni
@@ -116,10 +117,8 @@ class FiberCountReport:
     samples: int
 
     def modes_by_prime(self) -> Dict[int, Optional[int]]:
-        out: Dict[int, Optional[int]] = {}
-        for p, hist in self.by_prime.items():
-            out[p] = _histogram_modes(hist)[0][0] if hist else None
-        return out
+        return {p: _histogram_modes(hist)[0][0] if hist else None
+                for p, hist in self.by_prime.items()}
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready form; histograms become sorted [count, frequency] pairs."""
@@ -149,36 +148,42 @@ def _xy_degree(terms: Terms) -> int:
     return max(e[0] + e[1] for _, e in terms)
 
 
-def _specialized(comps: Sequence[Terms], shear: Tuple[int, int, int, int],
-                 v0: int, prime: int) -> List[Uni]:
-    """Each poly at z=1, sheared x=a*u+b*v, y=g*u+d*v, then v=v0.
-
-    The sheared monomials x^e0 * y^e1 are computed once and shared by all
-    the polys."""
+def _sheared_forms(comps: Sequence[Terms], shear: Tuple[int, int, int, int],
+                   prime: int) -> List[List[List[int]]]:
+    """Each poly at z=1, sheared x=al*u+be*v, y=ga*u+de*v, as its u^k
+    coefficients (k = 0..d), polynomials in v from v^(d-k) down: c*x^e0*y^e1
+    gives c * b_k u^k v^(e0+e1-k) for each t^k coefficient b_k of the
+    binary form (al*t + be)^e0 * (ga*t + de)^e1."""
     al, be, ga, de = shear
-    x_of_u: Uni = [be * v0 % prime, al]
-    y_of_u: Uni = [de * v0 % prime, ga]
-    pow_x: Dict[int, Uni] = {0: [1]}
-    pow_y: Dict[int, Uni] = {0: [1]}
-    monos: Dict[Tuple[int, int], Uni] = {}
-
-    def grab(tab: Dict[int, Uni], base: Uni, e: int) -> Uni:
-        top = max(tab)
-        while top < e:
-            tab[top + 1] = ffield.uni_mul(tab[top], base, prime)
-            top += 1
-        return tab[e]
-
-    out: List[Uni] = []
+    d = sum(comps[0][0][1])
+    forms: Dict[Tuple[int, int], List[int]] = {(0, 0): [1]}
+    for e in range(1, d + 1):  # times (al*t + be), or (ga*t + de) on x^0
+        for e0 in range(e + 1):
+            lo, hi, prev = ((be, al, forms[e0 - 1, e - e0]) if e0 else
+                            (de, ga, forms[0, e - 1]))
+            forms[e0, e - e0] = [(lo * a + hi * b) % prime
+                                 for a, b in zip(prev + [0], [0] + prev)]
+    out = []
     for terms in comps:
-        acc: Uni = []
+        coeffs = [[0] * (d - k + 1) for k in range(d + 1)]
         for c, (e0, e1, _) in terms:
-            if (e0, e1) not in monos:
-                monos[e0, e1] = ffield.uni_mul(grab(pow_x, x_of_u, e0),
-                                               grab(pow_y, y_of_u, e1), prime)
-            term = ffield.uni_scale(monos[e0, e1], c, prime)
-            acc = ffield.uni_add(acc, term, prime)
-        out.append(acc)
+            for k, b in enumerate(forms[e0, e1]):
+                coeffs[k][d - e0 - e1] += c * b
+        out.append(coeffs)
+    return out
+
+
+def _specialized(forms: Sequence[List[List[int]]], v0: int,
+                 prime: int) -> List[Uni]:
+    """The _sheared_forms at v=v0 by Horner: each poly's d+1 u-coefficients."""
+    out: List[Uni] = []
+    for coeffs in forms:
+        out.append([])
+        for vs in coeffs:
+            acc = 0
+            for c in vs:
+                acc = acc * v0 + c
+            out[-1].append(acc % prime)
     return out
 
 
@@ -192,7 +197,7 @@ def _eliminant(g1: Terms, g2: Terms, target_ab: Tuple[int, int],
     S(f_k - t_k * f_2)(u, v0) = S(f_k)(u, v0) - t_k * S(f_2)(u, v0) mod p:
     sheared(v0) returns the three S(f_j)(u, v0) of one shear, and the
     caller computes them once per (shear, v0) for all its eliminants.  The
-    degrees and the sample count still come from the chart terms.
+    u-degree of S(g_k) is at most the xy-degree d_k of the chart terms.
 
     Returns None when the shear loses a leading coefficient or the
     resultant vanishes identically (shared factor for this target).
@@ -203,17 +208,15 @@ def _eliminant(g1: Terms, g2: Terms, target_ab: Tuple[int, int],
     if n_samples >= prime:
         raise ValueError("prime %d too small for degree-%d eliminant"
                          % (prime, d1 * d2))
-    xs, ys = [], []
+    ys = []
     for v0 in range(n_samples):
         s0, s1, s2 = sheared(v0)
-        h1 = ffield.uni_add(s0, ffield.uni_scale(s2, -a, prime), prime)
-        h2 = ffield.uni_add(s1, ffield.uni_scale(s2, -b, prime), prime)
-        if ffield.uni_deg(h1) != d1 or ffield.uni_deg(h2) != d2:
+        h1 = [(x - a * z) % prime for x, z in zip(s0[:d1 + 1], s2)]
+        h2 = [(y - b * z) % prime for y, z in zip(s1[:d2 + 1], s2)]
+        if not h1[d1] or not h2[d2]:
             return None
-        xs.append(v0)
         ys.append(ffield.uni_resultant(h1, h2, prime))
-    r = ffield.uni_interpolate(xs, ys, prime)
-    return r if r else None
+    return ffield.uni_interpolate(range(n_samples), ys, prime) or None
 
 
 def _strip_shared(r: Uni, other: Uni, prime: int) -> Uni:
@@ -244,22 +247,17 @@ def _line_count(g1: Terms, g2: Terms, f2: Terms, prime: int) -> int:
     roots where f2 also vanishes are base points of the map and are not
     fiber points.
     """
-    g1_raw = _line_form(g1, prime)
-    g2_raw = _line_form(g2, prime)
-    phi_raw = _line_form(f2, prime)
+    g1_raw, g2_raw, phi_raw = (_line_form(t, prime) for t in (g1, g2, f2))
     d = len(g1_raw) - 1
-    l1 = ffield.uni_norm(list(g1_raw))
-    l2 = ffield.uni_norm(list(g2_raw))
-    phi = ffield.uni_norm(list(phi_raw))
+    l1, l2, phi = (ffield.uni_norm(list(u)) for u in (g1_raw, g2_raw, phi_raw))
     h = ffield.uni_gcd(l1, l2, prime)  # gcd(0, g) = g, so zeros are safe
     if not h:
         return 0  # both forms vanish on the whole line; degenerate, skip
     base = ffield.uni_gcd(h, phi, prime)
     cnt = ffield.distinct_root_count(h, prime) - ffield.distinct_root_count(base, prime)
     # the point (1:0:0) corresponds to the top coefficient vanishing
-    if g1_raw[d] == 0 and g2_raw[d] == 0:
-        if phi_raw[d] != 0:
-            cnt += 1
+    if g1_raw[d] == 0 and g2_raw[d] == 0 and phi_raw[d] != 0:
+        cnt += 1
     return max(cnt, 0)
 
 
@@ -271,10 +269,11 @@ def geometric_fiber_count(comps: Sequence[Terms], prime: int,
     comps are the components of f reduced mod p, none of them zero.  Two
     successful random shears are required and the larger count wins
     (a shear can only undercount, when two fiber points collide in v).
-    Each shear specializes the three components once per sample v0, and
-    its main and auxiliary eliminants are all built from that memo (see
-    _eliminant).  A shear that drops a leading coefficient of a chart
-    equation fails at the first sample of _eliminant and is skipped.
+    Each shear expands the three components once (_sheared_forms) and
+    specializes them once per sample v0; its main and auxiliary eliminants
+    are all built from that memo (see _eliminant).  A shear that drops a
+    leading coefficient of a chart equation fails at the first sample of
+    _eliminant and is skipped.
     Returns None when no shear produced a usable eliminant.
     """
     a, b = target_ab
@@ -292,15 +291,14 @@ def geometric_fiber_count(comps: Sequence[Terms], prime: int,
         be, de = rng.randrange(prime), rng.randrange(1, prime)
         if (al * de - be * ga) % prime == 0:
             continue
-        shear = (al, be, ga, de)
+        forms = _sheared_forms(comps, (al, be, ga, de), prime)
         sheared = functools.lru_cache(maxsize=None)(
-            functools.partial(_specialized, comps, shear, prime=prime))
+            functools.partial(_specialized, forms, prime=prime))
         r = _eliminant(g1, g2, target_ab, sheared, prime)
         if r is None:
             continue
         # factors shared with the eliminants of unrelated targets come from
         # the base locus, not from this fiber; strip them
-        clean = r
         stripped = 0
         for _aux in range(4):
             if stripped == 2:
@@ -312,9 +310,9 @@ def geometric_fiber_count(comps: Sequence[Terms], prime: int,
                 continue
             raux = _eliminant(a1, a2, (aa, bb), sheared, prime)
             if raux is not None:
-                clean = _strip_shared(clean, raux, prime)
+                r = _strip_shared(r, raux, prime)
                 stripped += 1
-        counts.append(ffield.distinct_root_count(clean, prime))
+        counts.append(ffield.distinct_root_count(r, prime))
         if len(counts) == 2:
             break
     if not counts:
@@ -340,8 +338,7 @@ def topological_degree_ff(f: RationalMap, primes: Sequence[int],
     bound = f.degree * f.degree
     by_prime: Dict[int, Dict[int, int]] = {}
     overall: Counter = Counter()
-    failed = 0
-    samples = 0
+    failed = samples = 0
     for prime in primes:
         comps = [ffield.reduce_poly(c, prime) for c in f.components]
         if any(not c for c in comps):
@@ -364,10 +361,7 @@ def topological_degree_ff(f: RationalMap, primes: Sequence[int],
             hist[count] += 1
             overall[count] += 1
         by_prime[prime] = dict(sorted(hist.items()))
-    if overall:
-        modes = [k for k, _ in _histogram_modes(dict(overall))]
-    else:
-        modes = []
+    modes = [k for k, _ in _histogram_modes(dict(overall))] if overall else []
     mode = modes[0] if len(modes) == 1 else None
     degenerate = failed * 2 > samples or mode == 0
     return FiberCountReport(histogram=dict(sorted(overall.items())),
@@ -504,6 +498,11 @@ def monomial_dyn_degrees(matrix: Sequence[Sequence[int]]) -> List[float]:
 # arithmetic degree from orbit heights
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum, as sum() up to Python 3.11 (not compensated)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 @dataclass
 class AlphaEstimate:
     root_tail: float
@@ -545,7 +544,8 @@ def arithmetic_degree_estimate(heights: Sequence[float]) -> AlphaEstimate:
     steps = steps_in(first) or steps_in(0)
     if not steps:
         return AlphaEstimate(root_tail, 1.0, n_last, (0, 0), degenerate=True)
-    log_mean = sum(math.log(s) for _, s in steps) / len(steps)
+    logs = [math.log(s) for _, s in steps]
+    log_mean = ordered_sum(logs) / len(logs)
     return AlphaEstimate(root_tail, math.exp(log_mean), n_last,
                          (steps[0][0], steps[-1][0]))
 

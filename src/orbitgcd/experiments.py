@@ -343,11 +343,12 @@ def classify_trend(rows: Sequence[HeightRow]) -> TrendReport:
     if len(pts) >= 2:
         xs = [x for x, _ in pts]
         ys = [y for _, y in pts]
-        xbar = sum(xs) / len(xs)
-        ybar = sum(ys) / len(ys)
-        den = sum((x - xbar) ** 2 for x in xs)
+        xbar = degrees.ordered_sum(xs) / len(xs)
+        ybar = degrees.ordered_sum(ys) / len(ys)
+        den = degrees.ordered_sum((x - xbar) ** 2 for x in xs)
         if den > 0:
-            slope = sum((x - xbar) * (y - ybar) for x, y in pts) / den
+            slope = degrees.ordered_sum((x - xbar) * (y - ybar)
+                                        for x, y in pts) / den
             intercept = ybar - slope * xbar
     return TrendReport(usable=len(usable), window=(tail[0][0], tail[-1][0]),
                        tail_count=len(tail), median_tail=med, verdict=verdict,

@@ -10,6 +10,8 @@ uses are small enough that the check is in fact deterministic.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from typing import Iterator, List, Sequence, Tuple
 
@@ -120,20 +122,6 @@ def uni_deg(f: Uni) -> int:
     return len(f) - 1  # zero polynomial -> -1
 
 
-def uni_add(f: Uni, g: Uni, p: int) -> Uni:
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return uni_norm(out)
-
-
-def uni_scale(f: Uni, c: int, p: int) -> Uni:
-    c %= p
-    return uni_norm([a * c % p for a in f])
-
-
 def uni_mul(f: Uni, g: Uni, p: int) -> Uni:
     if not f or not g:
         return []
@@ -145,74 +133,86 @@ def uni_mul(f: Uni, g: Uni, p: int) -> Uni:
     return uni_norm(out)
 
 
+def _uni_reduce(f: Uni, g: Uni, p: int) -> Uni:
+    """Reduce the list f mod g in place (one inverse); return the quotient."""
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    q = [0] * max(0, len(f) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = f[k + dg] * inv % p
+        if c:
+            for i in range(dg):
+                f[k + i] = (f[k + i] - c * g[i]) % p
+    del f[dg:]
+    uni_norm(f)
+    return uni_norm(q)
+
+
 def uni_divmod(f: Uni, g: Uni, p: int) -> Tuple[Uni, Uni]:
     if not g:
         raise ZeroDivisionError("univariate division by zero")
-    f = list(f)
-    dg = uni_deg(g)
-    inv = pow(g[-1], p - 2, p)
-    q = [0] * max(0, len(f) - dg)
-    while uni_deg(f) >= dg:
-        k = uni_deg(f) - dg
-        c = f[-1] * inv % p
-        q[k] = c
-        for i, b in enumerate(g):
-            f[i + k] = (f[i + k] - c * b) % p
-        uni_norm(f)
-    return uni_norm(q), f
+    r = list(f)
+    return _uni_reduce(r, g, p), r
 
 
 def uni_gcd(f: Uni, g: Uni, p: int) -> Uni:
     f, g = list(f), list(g)
     while g:
-        f, g = g, uni_divmod(f, g, p)[1]
-    if f:
-        f = uni_scale(f, pow(f[-1], p - 2, p), p)  # monic for determinism
-    return f
-
-
-def uni_deriv(f: Uni, p: int) -> Uni:
-    return uni_norm([i * c % p for i, c in enumerate(f)][1:])
+        _uni_reduce(f, g, p)
+        f, g = g, f
+    inv = pow(f[-1], -1, p) if f else 0
+    return [c * inv % p for c in f]  # monic for determinism
 
 
 def distinct_root_count(f: Uni, p: int) -> int:
     """Distinct roots in an algebraic closure = degree of the squarefree part.
 
-    Valid whenever deg f < p, which the callers guarantee; then f' = 0
-    only for constant f and no p-th-power collapse can occur.
+    Valid whenever deg f < p, which the callers guarantee; then f' has
+    degree deg f - 1 and no p-th-power collapse can occur.
     """
     if uni_deg(f) <= 0:
         return 0
-    return uni_deg(f) - uni_deg(uni_gcd(f, uni_deriv(f, p), p))
+    deriv = [i * c % p for i, c in enumerate(f)][1:]
+    return uni_deg(f) - uni_deg(uni_gcd(f, deriv, p))
 
 
 def uni_resultant(f: Uni, g: Uni, p: int) -> int:
-    """Res(f, g) mod p via the Euclidean remainder sequence."""
-    f, g = list(f), list(g)
+    """Res(f, g) mod p via the Euclidean remainder sequence, each remainder
+    computed in place: Res(f, g) = (-1)^(df*dg) lc(g)^(df-dr) Res(g, f % g)."""
     if not f or not g:
         return 0
+    f, g = list(f), list(g)
     res = 1
-    while True:
-        df, dg = uni_deg(f), uni_deg(g)
-        if dg == 0:
-            return res * pow(g[0], df, p) % p
-        r = uni_divmod(f, g, p)[1]
-        if not r:
+    while len(g) > 1:
+        df, dg = len(f) - 1, len(g) - 1
+        _uni_reduce(f, g, p)
+        if not f:
             return 0
-        res = res * pow(-1, df * dg, p) % p
-        res = res * pow(g[-1], df - uni_deg(r), p) % p
-        f, g = g, r
+        if df & dg & 1:
+            res = -res
+        res = res * pow(g[-1], df - len(f) + 1, p) % p
+        f, g = g, f
+    return res * pow(g[0], len(f) - 1, p) % p
+
+
+@functools.lru_cache(maxsize=64)
+def _inverse_vandermonde(xs: Tuple[int, ...], p: int) -> Tuple[Tuple[int, ...], ...]:
+    """Rows of the inverse Vandermonde matrix of the nodes xs mod p: row k
+    holds the t^k coefficients of the Lagrange basis polynomials.  Raises
+    ValueError for nodes that repeat mod p."""
+    master = [1]  # prod (t - x) over all nodes
+    for x in xs:
+        master = [(a - x * b) % p for a, b in zip([0] + master, master + [0])]
+    cols = []
+    for x in xs:
+        q = uni_divmod(master, [-x % p, 1], p)[0]  # master / (t - x)
+        inv = pow(sum(c * pow(x, k, p) for k, c in enumerate(q)), -1, p)
+        cols.append([c * inv % p for c in q])
+    return tuple(zip(*cols))
 
 
 def uni_interpolate(xs: Sequence[int], ys: Sequence[int], p: int) -> Uni:
-    """Newton-form interpolation through distinct nodes xs."""
-    n = len(xs)
-    dd = [y % p for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            denom = (xs[i] - xs[i - j]) % p
-            dd[i] = (dd[i] - dd[i - 1]) * pow(denom, p - 2, p) % p
-    out: Uni = []
-    for j in range(n - 1, -1, -1):
-        out = uni_add(uni_mul(out, [(-xs[j]) % p, 1], p), [dd[j]], p)
-    return out
+    """The polynomial of degree < len(xs) through the points (xs, ys), as
+    the inverse Vandermonde matrix of the distinct nodes xs times ys."""
+    rows = _inverse_vandermonde(tuple(xs), p)
+    return uni_norm([sum(map(operator.mul, row, ys)) % p for row in rows])

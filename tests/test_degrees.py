@@ -15,9 +15,8 @@ from orbitgcd.degrees import (arithmetic_degree_estimate, d1_estimate,
                               hyperbolicity_report, monomial_dyn_degrees,
                               orbit_genericity_heuristic, rational_fiber_count,
                               topological_degree_ff)
-from orbitgcd.ffield import (is_probable_prime, uni_add, uni_deg,
-                             uni_interpolate, uni_mul, uni_resultant,
-                             uni_scale)
+from orbitgcd.ffield import (is_probable_prime, uni_deg, uni_interpolate,
+                             uni_mul, uni_norm, uni_resultant)
 from orbitgcd.projgeom import make_map, make_point
 
 
@@ -218,15 +217,16 @@ def _specialized_direct(terms, shear, v0, prime):
     """One chart poly at z=1, sheared x=a*u+b*v, y=g*u+d*v, then v=v0,
     built term by term from repeated products."""
     al, be, ga, de = shear
-    acc = []
+    acc = [0] * (1 + max(e0 + e1 for _, (e0, e1, _) in terms))
     for c, (e0, e1, _) in terms:
-        mono = [1]
+        mono = [c % prime]
         for _ in range(e0):
             mono = uni_mul(mono, [be * v0 % prime, al], prime)
         for _ in range(e1):
             mono = uni_mul(mono, [de * v0 % prime, ga], prime)
-        acc = uni_add(acc, uni_scale(mono, c, prime), prime)
-    return acc
+        for k, m in enumerate(mono):
+            acc[k] = (acc[k] + m) % prime
+    return uni_norm(acc)
 
 
 def _eliminant_direct(g1, g2, shear, prime):
@@ -281,9 +281,39 @@ def test_eliminant_from_shared_specialization_matches_direct(case):
     if not g1 or not g2 or degrees._xy_degree(g1) == 0 \
             or degrees._xy_degree(g2) == 0:
         return  # geometric_fiber_count never asks for these eliminants
-    sheared = functools.partial(degrees._specialized, comps, shear, prime=prime)
+    forms = degrees._sheared_forms(comps, shear, prime)
+    sheared = functools.partial(degrees._specialized, forms, prime=prime)
     got = degrees._eliminant(g1, g2, (a, b), sheared, prime)
     assert got == _eliminant_direct(g1, g2, shear, prime)
+
+
+@st.composite
+def sparse_maps(draw):
+    """(prime, components as terms mod p, shear) for P^2 maps of degree
+    1-4 whose components each miss some monomials."""
+    prime = draw(st.sampled_from([53, 1009]))
+    deg = draw(st.integers(1, 4))
+    monos = degrees._monomial_exponents(3, deg)
+    comps = [[(draw(st.integers(1, prime - 1)), e) for e in sorted(draw(
+        st.lists(st.sampled_from(monos), min_size=1,
+                 max_size=max(1, len(monos) - 1), unique=True)))]
+        for _ in range(3)]
+    shear = (draw(st.integers(1, prime - 1)), draw(st.integers(0, prime - 1)),
+             draw(st.sampled_from([0, 1, prime - 1]) | st.integers(0, prime - 1)),
+             draw(st.integers(1, prime - 1)))
+    return prime, comps, shear
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sparse_maps(), v0=st.integers(0, 20))
+def test_sheared_forms_match_direct_specialization(case, v0):
+    prime, comps, shear = case
+    d = sum(comps[0][0][1])
+    got = degrees._specialized(degrees._sheared_forms(comps, shear, prime),
+                               v0, prime)
+    for terms, row in zip(comps, got):
+        assert len(row) == d + 1
+        assert uni_norm(list(row)) == _specialized_direct(terms, shear, v0, prime)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +429,14 @@ def test_alpha_skips_zero_quotients():
     assert est.ratio_tail == pytest.approx(2.0)
     assert est.ratio_steps == (2, 2)
     assert not est.degenerate
+
+
+def test_ordered_sum_rounds_left_to_right_on_every_interpreter():
+    # sum() keeps the 1.0 from Python 3.12 on; the printed OLS fit and
+    # alpha estimates must round as on 3.11, where it is lost
+    assert degrees.ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert degrees.ordered_sum(iter([0.5, 0.25])) == 0.75
+    assert degrees.ordered_sum([]) == 0.0
 
 
 def test_alpha_rows_shape():

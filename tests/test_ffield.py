@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitgcd import poly, polyparse
 from orbitgcd.ffield import (check_prime, distinct_root_count, eval_terms,
@@ -84,22 +86,32 @@ def test_uni_norm_and_deg():
     assert uni_deg([0, 0, 3]) == 2
 
 
-def test_uni_mul_divmod_roundtrip():
-    p = 1009
-    rng = random.Random(11)
-    for _ in range(150):
-        f = uni_norm([rng.randint(0, p - 1) for _ in range(rng.randint(1, 8))])
-        g = uni_norm([rng.randint(0, p - 1) for _ in range(rng.randint(1, 6))])
-        if not g:
-            continue
-        q, r = uni_divmod(f, g, p)
-        qg = uni_mul(q, g, p)
-        width = max(len(qg), len(r))
-        qg += [0] * (width - len(qg))
-        rr = r + [0] * (width - len(r))
-        back = uni_norm([(a + b) % p for a, b in zip(qg, rr)])
-        assert back == f
-        assert uni_deg(r) < uni_deg(g)
+def _uni_sub(f, g, p):
+    """f - g mod p, normalized."""
+    width = max(len(f), len(g))
+    return uni_norm([(a - b) % p for a, b in zip(f + [0] * (width - len(f)),
+                                                  g + [0] * (width - len(g)))])
+
+
+def _uni_poly(max_deg, p):
+    """A nonzero polynomial mod p of degree at most max_deg; coefficients
+    are generic residues or come from a small set, so that cancellations
+    are common."""
+    coeff = st.sampled_from([0, 1, 2, p - 1, p // 2]) | st.integers(0, p - 1)
+    return st.lists(coeff, min_size=1, max_size=max_deg + 1).map(
+        uni_norm).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.sampled_from([53, 1009]))
+def test_uni_mul_divmod_roundtrip(data, p):
+    f = data.draw(_uni_poly(8, p) | st.just([]))
+    g = data.draw(_uni_poly(6, p))
+    q, r = uni_divmod(f, g, p)
+    assert uni_deg(r) < uni_deg(g)
+    assert _uni_sub(f, uni_mul(q, g, p), p) == r
+    if uni_deg(f) < uni_deg(g):
+        assert (q, r) == ([], f)
 
 
 def test_uni_gcd_oracle_and_conventions():
@@ -163,17 +175,32 @@ def _sylvester_resultant(f, g, p):
     return det % p
 
 
-def test_uni_resultant_against_sylvester():
-    p = 1009
-    rng = random.Random(23)
-    checked = 0
-    while checked < 50:
-        f = uni_norm([rng.randint(0, p - 1) for _ in range(rng.randint(2, 6))])
-        g = uni_norm([rng.randint(0, p - 1) for _ in range(rng.randint(2, 6))])
-        if uni_deg(f) < 1 or uni_deg(g) < 1:
-            continue
-        assert uni_resultant(f, g, p) == _sylvester_resultant(f, g, p)
-        checked += 1
+@st.composite
+def resultant_operands(draw):
+    """(p, f, g) with f, g nonzero: unrelated; with a planted common factor,
+    so that a remainder vanishes; or f = q*g + r with deg r <= deg g - 2,
+    so that the first remainder drops by more than one degree.  Constant
+    operands come from degree-0 draws."""
+    p = draw(st.sampled_from([53, 1009]))
+    kind = draw(st.sampled_from(["plain", "shared", "drop"]))
+    f, g = draw(_uni_poly(6, p)), draw(_uni_poly(6, p))
+    if kind == "shared":
+        h = draw(_uni_poly(2, p))
+        f, g = uni_mul(f, h, p), uni_mul(g, h, p)
+    elif kind == "drop":
+        g = draw(_uni_poly(5, p).filter(lambda u: uni_deg(u) >= 2))
+        r = draw(_uni_poly(uni_deg(g) - 2, p) | st.just([]))
+        f = _uni_sub(uni_mul(f, g, p), [(-c) % p for c in r], p)
+    if draw(st.booleans()):
+        f, g = g, f
+    return p, f, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=resultant_operands())
+def test_uni_resultant_against_sylvester(case):
+    p, f, g = case
+    assert uni_resultant(f, g, p) == _sylvester_resultant(f, g, p)
 
 
 def test_uni_resultant_against_sympy():
@@ -213,13 +240,28 @@ def test_uni_resultant_shared_root_vanishes():
     assert uni_resultant(f, g, p) == 0
 
 
-def test_uni_interpolate_roundtrip():
-    p = 1009
-    rng = random.Random(31)
-    for _ in range(60):
-        coeffs = uni_norm([rng.randint(0, p - 1)
-                           for _ in range(rng.randint(1, 7))])
-        nodes = rng.sample(range(p), max(uni_deg(coeffs) + 1, 1))
-        values = [sum(c * pow(x, k, p) for k, c in enumerate(coeffs)) % p
-                  for x in nodes]
-        assert uni_interpolate(nodes, values, p) == coeffs
+def test_uni_resultant_of_zero_is_zero():
+    assert uni_resultant([], [1, 2], 53) == 0
+    assert uni_resultant([3], [], 53) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=9),
+       extra=st.integers(0, 3), data=st.data())
+def test_uni_interpolate_roundtrip(coeffs, extra, data):
+    # the same node count at two primes and at two node sets, so that an
+    # interpolation matrix reused for the wrong nodes or prime shows
+    for p in (53, 1009):
+        want = uni_norm([c % p for c in coeffs])
+        n = len(coeffs) + extra
+        spread = data.draw(st.lists(st.integers(0, p - 1), min_size=n,
+                                    max_size=n, unique=True))
+        for nodes in (list(range(n)), spread):
+            values = [sum(c * pow(x, k, p) for k, c in enumerate(want)) % p
+                      for x in nodes]
+            assert uni_interpolate(nodes, values, p) == want
+
+
+def test_uni_interpolate_rejects_repeated_nodes():
+    with pytest.raises(ValueError):
+        uni_interpolate([1, 54], [2, 3], 53)
