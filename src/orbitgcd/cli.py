@@ -143,6 +143,9 @@ def _parse_matrix(text: str) -> List[List[int]]:
 
 
 def cmd_degrees(args: argparse.Namespace, seed: int) -> int:
+    for name, value in (("targets", args.targets), ("budget", args.budget)):
+        if value < 1:
+            raise experiments.ConfigError("%s: need an integer >= 1" % name)
     if args.matrix:
         matrix = _parse_matrix(args.matrix)
         try:

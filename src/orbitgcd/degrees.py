@@ -376,16 +376,21 @@ def fiber_report(f: RationalMap, primes: Sequence[int], targets_per_prime: int,
     """topological_degree_ff over the primes that fiber counting can use
     for f, or None when there are none; each trouble appends to flags.
 
-    A prime p is skipped with a flag when p <= d^2 + 1 (an eliminant
-    interpolates through up to d^2 + 1 points of F_p) or when p divides
-    every coefficient of some component.  An ambiguous mode and a
-    degenerate count are flagged too.  Raises ValueError for a number that
-    check_prime rejects.
+    A map that is not of P^2 is skipped with a flag.  A prime p is skipped
+    with a flag when p <= d^2 + 1 (an eliminant interpolates through up to
+    d^2 + 1 points of F_p) or when p divides every coefficient of some
+    component.  An ambiguous mode and a degenerate count are flagged too.
+    Raises ValueError for a number that check_prime rejects.
     """
+    for p in primes:
+        ffield.check_prime(p)
+    if f.arity != 3:
+        flags.append("fiber counting skipped: implemented for maps of P^2 "
+                     "only")
+        return None
     deg = f.degree
     usable = []
     for p in primes:
-        ffield.check_prime(p)
         wiped = [i for i, c in enumerate(f.components)
                  if poly.content(c) % p == 0]
         if p <= deg * deg + 1:
@@ -464,15 +469,14 @@ def monomial_dyn_degrees(matrix: Sequence[Sequence[int]]) -> List[float]:
     whose characteristic polynomial leaves the floating-point range.
     """
     import numpy  # deferred: the only numpy use, and most of the import time
-    from .elimination import bareiss_det  # deferred with numpy
 
     n = len(matrix)
     if n < 1 or any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square and non-empty")
-    det = bareiss_det([list(map(int, row)) for row in matrix])
+    coeffs = _char_poly_coeffs(matrix)
+    det = abs(coeffs[-1])  # the constant term is (-1)^n det A
     if det == 0:
         raise ValueError("matrix is singular")
-    coeffs = _char_poly_coeffs(matrix)
     try:
         roots = numpy.roots(numpy.array(coeffs, dtype=float))
     except OverflowError:
@@ -483,14 +487,14 @@ def monomial_dyn_degrees(matrix: Sequence[Sequence[int]]) -> List[float]:
     out = [1.0]
     for m in moduli:
         out.append(out[-1] * m)
-    if abs(out[-1] - abs(det)) > 1e-10 * max(1.0, abs(det)):
+    if abs(out[-1] - det) > 1e-10 * max(1.0, det):
         raise RuntimeError("eigenvalue moduli disagree with |det| beyond tolerance")
     # the rounding error of the eigenvalue sum scales with the moduli, not
     # with the trace, which cancels to 0 for a zero diagonal
     trace = sum(matrix[i][i] for i in range(n))
     if abs(sum(complex(r) for r in roots).real - trace) > 1e-8 * max(1.0, sum(moduli)):
         raise RuntimeError("eigenvalue sum disagrees with trace beyond tolerance")
-    out[-1] = float(abs(det))
+    out[-1] = float(det)
     return out
 
 

@@ -1,9 +1,8 @@
-"""Fraction-free elimination over Z and Z[x]: determinants, resultants and
-the divisor certificate of a map of P^2.
+"""Fraction-free elimination over Z[x]: resultants and the divisor
+certificate of a map of P^2.
 
-The callers import this module where they first need it (the exact
-determinant of an exponent matrix, the first orbit step large enough for
-the certificate), so starting the command line does not load it.  The
+projgeom imports this module at the first orbit step large enough for the
+certificate, so starting the command line does not load it.  The
 certificate itself is described in the projgeom module docstring.
 """
 
@@ -11,33 +10,23 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-from typing import Callable, Dict, Sequence, Tuple, TypeVar
+from typing import Dict, List, Tuple
 
 from . import poly
 from .poly import BigPoly
 from .projgeom import Coords, RationalMap
 
-Ring = TypeVar("Ring")
 # (c, S) pairs: every prime of g = gcd_i f_i(x) divides c * S(x)
 Certificate = Tuple[Tuple[int, BigPoly], ...]
 
 
-def bareiss_det(matrix: Sequence[Sequence[Ring]], one: Ring = 1,
-                divide: Callable[[Ring, Ring], Ring] = operator.floordiv) -> Ring:
-    """Determinant by fraction-free (Bareiss) elimination.
-
-    The entries live in an integral domain whose elements support +, - and
-    *, test false when zero, and are divided exactly by divide: integers by
-    default, or BigPoly with one = poly.const(arity, 1) and an exact
-    division.  The empty matrix has determinant one.
-    """
+def bareiss_det(matrix: List[List[BigPoly]]) -> BigPoly:
+    """Determinant of a non-empty square matrix over Z[x] by fraction-free
+    (Bareiss) elimination; every division is exact and checked."""
     m = [list(row) for row in matrix]
     n = len(m)
-    if n == 0:
-        return one
     sign = 1
-    prev = one
+    prev = poly.const(m[0][0].arity, 1)
     for k in range(n - 1):
         if not m[k][k]:
             for r in range(k + 1, n):
@@ -46,19 +35,16 @@ def bareiss_det(matrix: Sequence[Sequence[Ring]], one: Ring = 1,
                     sign = -sign
                     break
             else:
-                return m[k][k]  # the zero of the ring
+                return m[k][k]  # zero
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = divide(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+                q = poly.div_exact(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+                if q is None:
+                    raise AssertionError(
+                        "Bareiss step not divisible by the previous pivot")
+                m[i][j] = q
         prev = m[k][k]
     return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
-
-
-def _div_exact_checked(p: BigPoly, d: BigPoly) -> BigPoly:
-    q = poly.div_exact(p, d)
-    if q is None:
-        raise AssertionError("Bareiss step not divisible by the previous pivot")
-    return q
 
 
 def resultant(p: BigPoly, q: BigPoly, var: int) -> BigPoly:
@@ -75,6 +61,8 @@ def resultant(p: BigPoly, q: BigPoly, var: int) -> BigPoly:
     up, uq = poly._as_univariate(p, var), poly._as_univariate(q, var)
     dp, dq = max(up), max(uq)
     size = dp + dq
+    if size == 0:
+        return poly.const(p.arity, 1)
     zero_entry = poly.zero(p.arity)
     rows = []
     for u, du, count in ((up, dp, dq), (uq, dq, dp)):
@@ -83,7 +71,7 @@ def resultant(p: BigPoly, q: BigPoly, var: int) -> BigPoly:
             for e, c in u.items():
                 row[i + du - e] = c
             rows.append(row)
-    return bareiss_det(rows, poly.const(p.arity, 1), _div_exact_checked)
+    return bareiss_det(rows)
 
 
 def _derivative(p: BigPoly, var: int) -> BigPoly:

@@ -477,12 +477,8 @@ def run_scenario(config: ScenarioConfig, name: str = "custom",
 
     fiber = None
     if config.primes and config.targets_per_prime > 0:
-        if config.arity == 3:
-            fiber = degrees.fiber_report(f, config.primes,
-                                         config.targets_per_prime, rng, flags)
-        else:
-            advisories.append("fiber counting skipped: implemented for "
-                              "3 coordinates only")
+        fiber = degrees.fiber_report(f, config.primes,
+                                     config.targets_per_prime, rng, flags)
 
     alpha = None
     if len(rows) >= 4:

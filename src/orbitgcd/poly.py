@@ -14,6 +14,15 @@ Coefficient arithmetic is exact throughout.  The gcd here is the gcd in
 Z[x0..xN]: the result is primitive (integer content 1) with positive
 leading coefficient, so it is unique and the integer part of a common
 divisor must be tracked separately via :func:`content`.
+
+:func:`gcd_multivar` splits off the common monomial factor and runs a
+primitive pseudo-remainder sequence in the last variable x_k that either
+operand involves.  The sequence keeps each operand as a polynomial in x_k
+with coefficients in the other variables, and divides every remainder by
+its content: the integer content times the gcd of its coefficients, found
+by recursion on fewer variables.  The last nonzero remainder, times the gcd
+of the two operands' contents, is the gcd; it becomes a BigPoly again only
+at the end, and is checked by exact division of both inputs.
 """
 
 from __future__ import annotations
@@ -89,6 +98,15 @@ class BigPoly:
         return "BigPoly(arity=%d, {%s})" % (self.arity, body)
 
 
+def _trusted(arity: int, terms: TermMap) -> BigPoly:
+    """A BigPoly over terms that are canonical already, skipping the
+    checks of BigPoly.__init__."""
+    result = BigPoly.__new__(BigPoly)
+    result.arity = arity
+    result.terms = terms
+    return result
+
+
 def zero(arity: int) -> BigPoly:
     return BigPoly(arity, {})
 
@@ -128,26 +146,17 @@ def add(p: BigPoly, q: BigPoly) -> BigPoly:
             out[exps] = acc
         else:
             out.pop(exps, None)
-    result = BigPoly.__new__(BigPoly)
-    result.arity = p.arity
-    result.terms = out
-    return result
+    return _trusted(p.arity, out)
 
 
 def neg(p: BigPoly) -> BigPoly:
-    result = BigPoly.__new__(BigPoly)
-    result.arity = p.arity
-    result.terms = {e: -c for e, c in p.terms.items()}
-    return result
+    return _trusted(p.arity, {e: -c for e, c in p.terms.items()})
 
 
 def scale(p: BigPoly, c: int) -> BigPoly:
     if c == 0:
         return zero(p.arity)
-    result = BigPoly.__new__(BigPoly)
-    result.arity = p.arity
-    result.terms = {e: c * v for e, v in p.terms.items()}
-    return result
+    return _trusted(p.arity, {e: c * v for e, v in p.terms.items()})
 
 
 def mul(p: BigPoly, q: BigPoly) -> BigPoly:
@@ -166,10 +175,7 @@ def mul(p: BigPoly, q: BigPoly) -> BigPoly:
                 out[key] = acc
             else:
                 del out[key]
-    result = BigPoly.__new__(BigPoly)
-    result.arity = p.arity
-    result.terms = out
-    return result
+    return _trusted(p.arity, out)
 
 
 def eval_int(p: BigPoly, point: Sequence[int]) -> int:
@@ -322,11 +328,8 @@ def _min_exponents(p: BigPoly) -> Exponent:
 def _shift_down(p: BigPoly, shift: Exponent) -> BigPoly:
     if not any(shift):
         return p
-    result = BigPoly.__new__(BigPoly)
-    result.arity = p.arity
-    result.terms = {tuple(a - b for a, b in zip(e, shift)): c
-                    for e, c in p.terms.items()}
-    return result
+    return _trusted(p.arity, {tuple(a - b for a, b in zip(e, shift)): c
+                              for e, c in p.terms.items()})
 
 
 def _normalize_sign(p: BigPoly) -> BigPoly:
@@ -340,150 +343,94 @@ def primitive_part(p: BigPoly) -> BigPoly:
     c = content(p)
     if c == 0:
         return p
-    result = BigPoly.__new__(BigPoly)
-    result.arity = p.arity
-    result.terms = {e: v // c for e, v in p.terms.items()}
-    return _normalize_sign(result)
+    return _normalize_sign(_trusted(p.arity, {e: v // c
+                                              for e, v in p.terms.items()}))
 
 
-def _present_variables(p: BigPoly, q: BigPoly) -> List[int]:
-    present = [False] * p.arity
-    for poly in (p, q):
-        for exps in poly.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    present[i] = True
-    return [i for i, flag in enumerate(present) if flag]
+# p viewed as a polynomial in one variable x_k: {exponent of x_k: nonzero
+# coefficient free of x_k}
+Univariate = Dict[int, BigPoly]
 
 
-def _as_univariate(p: BigPoly, var: int) -> Dict[int, BigPoly]:
+def _as_univariate(p: BigPoly, var: int) -> Univariate:
     """View p as a polynomial in x_var with BigPoly coefficients."""
     out: Dict[int, TermMap] = {}
     for exps, coeff in p.terms.items():
         e = exps[var]
         rest = exps[:var] + (0,) + exps[var + 1:]
         out.setdefault(e, {})[rest] = coeff
-    return {e: BigPoly(p.arity, tm) for e, tm in out.items()}
+    return {e: _trusted(p.arity, tm) for e, tm in out.items()}
 
 
-def _from_univariate(coeffs: Dict[int, BigPoly], var: int, arity: int) -> BigPoly:
-    terms: TermMap = {}
-    for e, poly in coeffs.items():
-        for exps, coeff in poly.terms.items():
-            key = exps[:var] + (e,) + exps[var + 1:]
-            terms[key] = coeff
-    return BigPoly(arity, terms)
+def _primitive_wrt(u: Univariate) -> Tuple[BigPoly, Univariate]:
+    """(content, primitive part) of a nonzero u.
+
+    The content is the integer content times the primitive gcd of the
+    coefficients, so the primitive part has content 1 in Z[x0..xN].
+    """
+    g: Optional[BigPoly] = None
+    ic = 0
+    for c in u.values():
+        ic = math.gcd(ic, content(c))
+        if g is None:
+            g = primitive_part(c)
+        elif degree(g) > 0:
+            g = gcd_multivar(g, c)
+    cont = scale(g, ic)
+    prim = {}
+    for e, c in u.items():
+        d = div_exact(c, cont)
+        if d is None:
+            raise AssertionError("content division failed")
+        prim[e] = d
+    return cont, prim
 
 
-def _uni_is_zero(u: Dict[int, BigPoly]) -> bool:
-    return not any(u.values())
+def _pseudo_rem(a: Univariate, b: Univariate) -> Univariate:
+    """Pseudo-remainder of a by b in their main variable.
 
-
-def _uni_normalize(u: Dict[int, BigPoly]) -> Dict[int, BigPoly]:
-    return {e: c for e, c in u.items() if c.terms}
-
-
-def _uni_scale(u: Dict[int, BigPoly], s: BigPoly) -> Dict[int, BigPoly]:
-    return _uni_normalize({e: mul(c, s) for e, c in u.items()})
-
-
-def _uni_sub(u: Dict[int, BigPoly], v: Dict[int, BigPoly]) -> Dict[int, BigPoly]:
-    out = dict(u)
-    for e, c in v.items():
-        out[e] = add(out.get(e, zero(c.arity)), neg(c))
-    return _uni_normalize(out)
-
-
-def _uni_shift_mul(u: Dict[int, BigPoly], k: int) -> Dict[int, BigPoly]:
-    return {e + k: c for e, c in u.items()}
-
-
-def _pseudo_rem(a: Dict[int, BigPoly], b: Dict[int, BigPoly]) -> Dict[int, BigPoly]:
-    """Pseudo-remainder of a by b in one main variable, poly coefficients."""
+    Each step scales the remainder by lc(b) and subtracts lc(r) x^k b; the
+    top terms cancel by construction, so the step pops r's top term and
+    only subtracts the rest of b.
+    """
     db = max(b)
     lcb = b[db]
+    tail = [(e - db, neg(c)) for e, c in b.items() if e != db]
     r = dict(a)
     while r and max(r) >= db:
         dr = max(r)
-        lcr = r[dr]
-        r = _uni_sub(_uni_scale(r, lcb),
-                     _uni_shift_mul(_uni_scale(b, lcr), dr - db))
-        if r and max(r) == dr:  # cancellation must remove the top term
-            raise AssertionError("pseudo-remainder failed to reduce degree")
+        lcr = r.pop(dr)
+        r = {e: mul(c, lcb) for e, c in r.items()}
+        for shift, c in tail:
+            k = dr + shift
+            t = mul(c, lcr)
+            s = add(r[k], t) if k in r else t
+            if s.terms:
+                r[k] = s
+            else:
+                del r[k]
     return r
 
 
-def _content_wrt(u: Dict[int, BigPoly]) -> BigPoly:
-    coeffs = list(u.values())
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = gcd_multivar(g, c)
-        if degree(g) == 0 and content(g) == 1:
-            break
-    # the gcd is primitive already; bundle in the integer content so the
-    # primitive part below is primitive in the full sense
-    ic = 0
-    for c in coeffs:
-        ic = math.gcd(ic, content(c))
-        if ic == 1:
-            break
-    return scale(g, ic) if ic > 1 else g
-
-
 def _gcd_exact(p: BigPoly, q: BigPoly) -> BigPoly:
-    """Primitive-part recursion with a primitive pseudo-remainder sequence."""
-    pv = _present_variables(p, q)
-    if not pv:
-        return const(p.arity, 1)
-    var = pv[-1]
-    up, uq = _as_univariate(p, var), _as_univariate(q, var)
-    if max(up) == 0 or max(uq) == 0:
-        # one operand does not involve the chosen variable after all:
-        # gcd divides its coefficients' gcd
-        flat = up if max(up) == 0 else uq
-        other = uq if max(up) == 0 else up
-        g = flat[0]
-        for c in other.values():
-            g = gcd_multivar(g, c)
-        return g
-
-    cont_p, cont_q = _content_wrt(up), _content_wrt(uq)
-    cont_gcd = gcd_multivar(cont_p, cont_q)
-
-    def primitive(u: Dict[int, BigPoly], cont: BigPoly) -> Dict[int, BigPoly]:
-        out = {}
-        for e, c in u.items():
-            d = div_exact(c, cont)
-            if d is None:
-                raise AssertionError("content division failed")
-            out[e] = d
-        return _uni_normalize(out)
-
-    a = primitive(up, cont_p)
-    b = primitive(uq, cont_q)
+    """gcd of two non-constant polynomials, up to sign, by a primitive
+    pseudo-remainder sequence in the last variable either involves."""
+    var = max(i for f in (p, q) for exps in f.terms
+              for i, e in enumerate(exps) if e)
+    cont_p, a = _primitive_wrt(_as_univariate(p, var))
+    cont_q, b = _primitive_wrt(_as_univariate(q, var))
     if max(a) < max(b):
         a, b = b, a
-    while True:
+    # once b is free of x_var it is a unit, being primitive: the primitive
+    # parts are coprime
+    while max(b) > 0:
         r = _pseudo_rem(a, b)
-        if _uni_is_zero(r):
+        if not r:
             break
-        rp = _from_univariate(r, var, p.arity)
-        rp = primitive_part(rp)
-        rcont = _content_wrt(_as_univariate(rp, var))
-        rp2 = div_exact(rp, rcont)
-        if rp2 is None:
-            raise AssertionError("primitive PRS content division failed")
-        a, b = b, _uni_normalize(_as_univariate(rp2, var))
-        if max(b) == 0:
-            # coprime in the main variable
-            return _normalize_sign(cont_gcd)
-    g = _from_univariate(b, var, p.arity)
-    g = primitive_part(g)
-    gcont = _content_wrt(_as_univariate(g, var))
-    g2 = div_exact(g, gcont)
-    if g2 is None:
-        raise AssertionError("gcd primitive part division failed")
-    return _normalize_sign(primitive_part(mul(cont_gcd, g2)))
+        a, b = b, _primitive_wrt(r)[1]
+    terms = {exps[:var] + (e,) + exps[var + 1:]: coeff
+             for e, c in b.items() for exps, coeff in c.terms.items()}
+    return mul(gcd_multivar(cont_p, cont_q), _trusted(p.arity, terms))
 
 
 def gcd_multivar(p: BigPoly, q: BigPoly) -> BigPoly:

@@ -239,6 +239,22 @@ def test_degrees_and_run_share_the_fiber_flags(tmp_path, capsys):
     assert flag in json.loads(capsys.readouterr().out)["flags"]
 
 
+def test_fiber_counting_outside_p2_is_a_flag_in_both_front_ends(
+        tmp_path, capsys):
+    flag = "fiber counting skipped: implemented for maps of P^2 only"
+    assert main(["degrees", "--map", "x0^2; x1^2", "--primes", "1009"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["flags"] == [flag] and "dN_counts" not in payload
+    data = {"arity": 2, "map": "x0^2; x1^2", "ideal": ["x0"],
+            "start": [1, 2], "n_max": 4, "primes": [1009],
+            "targets_per_prime": 4}
+    cfg = write_config(tmp_path, "line.json", data)
+    assert main(["run", "--config", cfg, "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert flag in payload["flags"]
+    assert payload["summary"]["fiber"] is None
+
+
 def _monomial(exps):
     return "*".join("x%d^%d" % (v, e) for v, e in enumerate(exps) if e)
 
@@ -412,6 +428,15 @@ def test_degrees_bad_inputs(capsys):
                  "--primes", "47"]) == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("option", ["--targets", "--budget"])
+def test_degrees_rejects_targets_and_budget_below_one(option, value, capsys):
+    assert main(["degrees", "--map", "x0^2; x1^2; x2^2", "--primes", "1009",
+                 option, value]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: %s: need an integer >= 1" % option[2:])
+
+
 # ---------------------------------------------------------------------------
 # installed entry points
 
@@ -428,8 +453,8 @@ def test_console_script_smoke():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is most of the import time, and only --matrix needs it; the
-    # elimination module only --matrix and orbits with large values
+    # numpy is most of the import time, and only --matrix needs it; only
+    # orbits with large values need the elimination module
     src = os.path.dirname(os.path.dirname(orbitgcd.__file__))
     code = ("import sys, orbitgcd.cli; sys.exit('numpy' in sys.modules "
             "or 'orbitgcd.elimination' in sys.modules)")

@@ -2,6 +2,8 @@
 
 For the gcd, both homogeneous and non-homogeneous operands are drawn, in
 two and three variables, half of the pairs with a planted common factor.
+Larger operands, up to 50 terms of degree 16, are the unreduced iterates
+that degree_sequence hands to the gcd.
 sympy's gcd keeps the integer content, so the oracle is normalised to
 gcd_multivar's convention: primitive, with a positive leading coefficient
 in graded lexicographic order.  The certificate oracle rebuilds every
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 
 from orbitgcd import elimination, polyparse, projgeom  # noqa: E402
-from orbitgcd.poly import BigPoly, const, gcd_multivar, mul  # noqa: E402
+from orbitgcd.poly import (BigPoly, compose, const, gcd_multivar,  # noqa: E402
+                           mul)
 
 GENS = sympy.symbols("x0:3")
 
@@ -67,6 +70,28 @@ def sympy_gcd_terms(p, q):
 def test_gcd_multivar_matches_sympy(pq):
     p, q = pq
     assert gcd_multivar(p, q).terms == sympy_gcd_terms(p, q)
+
+
+THREE_BASE_POINTS = "x0^2 + x1*x2; x1^2 - x0*x2; x2^2 + x0*x1"
+DENSE_QUADRATIC = ("7*x0^2 + 7*x0*x1 - 5*x0*x2 + x1^2 - 5*x1*x2 - 2*x2^2; "
+                   "-9*x0^2 + 7*x0*x1 - 5*x0*x2 - x1^2 + 4*x1*x2 + 7*x2^2; "
+                   "-x0^2 + x0*x1 + 7*x0*x2 - 9*x1^2 + 4*x1*x2 + 4*x2^2")
+
+
+@pytest.mark.parametrize("map_text, n", [
+    (THREE_BASE_POINTS, 2), (THREE_BASE_POINTS, 3), (THREE_BASE_POINTS, 4),
+    (DENSE_QUADRATIC, 2)], ids=["3bp-2", "3bp-3", "3bp-4", "dense-2"])
+def test_gcd_multivar_matches_sympy_on_unreduced_iterates(map_text, n):
+    # the components of f o f^(n-1) before reduction, as degree_sequence
+    # hands them to gcd_multivar: up to 50 terms of degree 16 at n = 4
+    f = projgeom.make_map([polyparse.parse(t, 3) for t in map_text.split(";")])
+    prev = f
+    for _ in range(n - 2):
+        prev = projgeom.make_map([compose(c, prev.components)
+                                  for c in f.components])
+    comps = [compose(c, prev.components) for c in f.components]
+    for p, q in itertools.combinations(comps, 2):
+        assert gcd_multivar(p, q).terms == sympy_gcd_terms(p, q)
 
 
 def _normalised_terms(expr):
