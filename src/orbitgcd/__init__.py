@@ -16,14 +16,14 @@ from .experiments import (ScenarioConfig, builtin_scenario, render_csv,
 from .heights import (HeightValue, bcz_closed_form, height_ratio_series,
                       subscheme_height, weil_height)
 from .poly import BigPoly, gcd_multivar
-from .polyparse import format_poly, parse
+from .polyparse import parse
 from .projgeom import (ProjPoint, RationalMap, SubschemeIdeal, make_ideal,
                        make_map, make_point, orbit)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigPoly", "gcd_multivar", "parse", "format_poly",
+    "BigPoly", "gcd_multivar", "parse",
     "ProjPoint", "RationalMap", "SubschemeIdeal",
     "make_point", "make_map", "make_ideal", "orbit",
     "HeightValue", "weil_height", "subscheme_height",

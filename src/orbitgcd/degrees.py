@@ -9,8 +9,7 @@ Four independent estimators live here:
   eliminant by a resultant and the distinct roots in an algebraic closure
   are counted via the squarefree part, so the answer is the cardinality
   of the fiber over the algebraic closure of F_p rather than the count of
-  F_p-rational preimages (rational counts miss almost all geometric
-  points; see rational_fiber_count for the exhaustive-scan cross-check),
+  F_p-rational preimages (rational counts miss almost all geometric points),
 * the exact eigenvalue-product formula for monomial maps, and
 * arithmetic-degree estimates from a list of orbit heights.
 
@@ -258,7 +257,7 @@ def _line_count(g1: Terms, g2: Terms, f2: Terms, prime: int) -> int:
     # the point (1:0:0) corresponds to the top coefficient vanishing
     if g1_raw[d] == 0 and g2_raw[d] == 0 and phi_raw[d] != 0:
         cnt += 1
-    return max(cnt, 0)
+    return cnt
 
 
 def geometric_fiber_count(comps: Sequence[Terms], prime: int,
@@ -377,9 +376,10 @@ def fiber_report(f: RationalMap, primes: Sequence[int], targets_per_prime: int,
     for f, or None when there are none; each trouble appends to flags.
 
     A map that is not of P^2 is skipped with a flag.  A prime p is skipped
-    with a flag when p <= d^2 + 1 (an eliminant interpolates through up to
-    d^2 + 1 points of F_p) or when p divides every coefficient of some
-    component.  An ambiguous mode and a degenerate count are flagged too.
+    with a flag when it repeats an earlier one, when p <= d^2 + 1 (an
+    eliminant interpolates through up to d^2 + 1 points of F_p) or when p
+    divides every coefficient of some component.  An ambiguous mode and a
+    degenerate count are flagged too.
     Raises ValueError for a number that check_prime rejects.
     """
     for p in primes:
@@ -390,10 +390,12 @@ def fiber_report(f: RationalMap, primes: Sequence[int], targets_per_prime: int,
         return None
     deg = f.degree
     usable = []
-    for p in primes:
-        wiped = [i for i, c in enumerate(f.components)
+    for i, p in enumerate(primes):
+        wiped = [k for k, c in enumerate(f.components)
                  if poly.content(c) % p == 0]
-        if p <= deg * deg + 1:
+        if p in primes[:i]:
+            flags.append("fiber counting skipped prime %d: repeated" % p)
+        elif p <= deg * deg + 1:
             flags.append("fiber counting skipped prime %d: too small "
                          "for the degree-%d map" % (p, deg))
         elif wiped:
@@ -411,25 +413,6 @@ def fiber_report(f: RationalMap, primes: Sequence[int], targets_per_prime: int,
     if fiber.degenerate:
         flags.append("fiber counting degenerate (map may fail to be dominant)")
     return fiber
-
-
-def rational_fiber_count(f: RationalMap, prime: int,
-                         target: Tuple[int, ...]) -> int:
-    """Exhaustive count of F_p-rational preimages of a normalized target.
-
-    A cross-check helper: every rational preimage is a geometric one, so
-    this never exceeds geometric_fiber_count for the same target.  Cost is
-    a scan of all p^2 + p + 1 points; use small primes.
-    """
-    comps = [ffield.reduce_poly(c, prime) for c in f.components]
-    want = ffield.normalize_proj(target, prime)
-    found = 0
-    for s in ffield.proj_points_fp(2, prime):
-        image = ffield.normalize_proj(
-            [ffield.eval_terms(c, s, prime) for c in comps], prime)
-        if image is not None and image == want:
-            found += 1
-    return found
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import degrees, ffield, heights, polyparse, projgeom
 from .degrees import AlphaEstimate, DegreeSequence, FiberCountReport
 from .heights import HeightRow
+from .poly import BigPoly
 from .projgeom import ProjPoint, RationalMap, SubschemeIdeal
 
 CSV_HEADER = "n,bits,h,hY_arch,hY_gcd,hY_total,ratio"
@@ -37,13 +38,18 @@ class ConfigError(ValueError):
     """Bad scenario configuration; message names the offending field."""
 
 
-_REQUIRED_KEYS = ("arity", "map", "ideal", "start", "n_max")
-_OPTIONAL_KEYS = ("primes", "targets_per_prime", "composition_cap", "metadata")
+def _need_int(name: str, value: Any, low: Optional[int] = None) -> None:
+    """Raise ConfigError unless value is an integer (not a bool) >= low."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (low is not None and value < low)):
+        raise ConfigError("%s: need an integer%s"
+                          % (name, "" if low is None else " >= %d" % low))
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description.
+    """Validated scenario description; construction checks every field's
+    type and range, so a config that exists is a valid one.
 
     map is a semicolon-separated list of homogeneous components; ideal is
     a list of homogeneous generators cutting out the subscheme whose
@@ -60,16 +66,19 @@ class ScenarioConfig:
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.arity, int) or self.arity < 2:
-            raise ConfigError("arity: need an integer >= 2")
+        _need_int("arity", self.arity, 2)
         if not isinstance(self.map, str) or not self.map.strip():
             raise ConfigError("map: need a non-empty string of components")
-        parts = [p for p in self.map.split(";")]
+        parts = self.map.split(";")
         if len(parts) != self.arity:
             raise ConfigError("map: expected %d ';'-separated components, got %d"
                               % (self.arity, len(parts)))
         if any(not p.strip() for p in parts):
             raise ConfigError("map: empty component")
+        for name, items in (("ideal", "strings"), ("start", "integers"),
+                            ("primes", "integers")):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError("%s: need a list of %s" % (name, items))
         if not self.ideal:
             raise ConfigError("ideal: need at least one generator")
         if any(not isinstance(g, str) or not g.strip() for g in self.ideal):
@@ -77,70 +86,40 @@ class ScenarioConfig:
         if len(self.start) != self.arity:
             raise ConfigError("start: expected %d coordinates, got %d"
                               % (self.arity, len(self.start)))
-        if any(not isinstance(c, int) for c in self.start):
-            raise ConfigError("start: coordinates must be integers")
+        for c in self.start:
+            _need_int("start", c)
         if all(c == 0 for c in self.start):
             raise ConfigError("start: coordinates must not all be zero")
-        if not isinstance(self.n_max, int) or self.n_max < 0:
-            raise ConfigError("n_max: need an integer >= 0")
-        if any(not isinstance(p, int) for p in self.primes):
-            raise ConfigError("primes: entries must be integers")
-        if not isinstance(self.targets_per_prime, int) or self.targets_per_prime < 0:
-            raise ConfigError("targets_per_prime: need an integer >= 0")
-        if not isinstance(self.composition_cap, int) or self.composition_cap < 1:
-            raise ConfigError("composition_cap: need an integer >= 1")
-        for k, v in self.metadata.items():
-            if not isinstance(k, str) or not isinstance(v, str):
-                raise ConfigError("metadata: keys and values must be strings")
+        _need_int("n_max", self.n_max, 0)
+        for p in self.primes:
+            _need_int("primes", p)
+        _need_int("targets_per_prime", self.targets_per_prime, 0)
+        _need_int("composition_cap", self.composition_cap, 1)
+        if not isinstance(self.metadata, Mapping) or not all(
+                isinstance(k, str) and isinstance(v, str)
+                for k, v in self.metadata.items()):
+            raise ConfigError("metadata: need an object of string values")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"arity": self.arity, "map": self.map, "ideal": list(self.ideal),
-                "start": list(self.start), "n_max": self.n_max,
-                "primes": list(self.primes),
-                "targets_per_prime": self.targets_per_prime,
-                "composition_cap": self.composition_cap,
-                "metadata": dict(self.metadata)}
+        """The fields as JSON values, which config_from_dict reads back."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in dataclasses.asdict(self).items()}
 
 
 def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
-    """Build a config from parsed JSON, rejecting unknown keys."""
-    known = set(_REQUIRED_KEYS) | set(_OPTIONAL_KEYS)
+    """Build a config from parsed JSON, rejecting unknown and missing keys;
+    ScenarioConfig checks the values."""
+    fields = dataclasses.fields(ScenarioConfig)
+    known = {f.name for f in fields}
     for key in data:
         if key not in known:
             raise ConfigError("unknown config key %r" % key)
-    for key in _REQUIRED_KEYS:
-        if key not in data:
-            raise ConfigError("missing config key %r" % key)
-
-    def as_int(key: str, value: Any) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError("%s: need an integer" % key)
-        return value
-
-    if not isinstance(data["map"], str):
-        raise ConfigError("map: need a string")
-    if not isinstance(data["ideal"], (list, tuple)):
-        raise ConfigError("ideal: need a list of strings")
-    if not isinstance(data["start"], (list, tuple)):
-        raise ConfigError("start: need a list of integers")
-    if not isinstance(data.get("primes", []), (list, tuple)):
-        raise ConfigError("primes: need a list of integers")
-    metadata = data.get("metadata", {})
-    if not isinstance(metadata, Mapping):
-        raise ConfigError("metadata: need an object with string values")
-    return ScenarioConfig(
-        arity=as_int("arity", data["arity"]),
-        map=data["map"],
-        ideal=tuple(data["ideal"]),
-        start=tuple(as_int("start", c) for c in data["start"]),
-        n_max=as_int("n_max", data["n_max"]),
-        primes=tuple(as_int("primes", p) for p in data.get("primes", [])),
-        targets_per_prime=as_int("targets_per_prime",
-                                 data.get("targets_per_prime", 0)),
-        composition_cap=as_int("composition_cap",
-                               data.get("composition_cap",
-                                        degrees.DEFAULT_DEGREE_BUDGET)),
-        metadata=dict(metadata))
+    for f in fields:
+        if (f.name not in data and f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING):
+            raise ConfigError("missing config key %r" % f.name)
+    return ScenarioConfig(**{k: tuple(v) if isinstance(v, list) else v
+                             for k, v in data.items()})
 
 
 def load_config_file(path: str) -> ScenarioConfig:
@@ -215,22 +194,30 @@ def builtin_scenario(name: str, a: int = 2, b: int = 3) -> ScenarioConfig:
 # building the geometric objects from a config
 
 
+def _parse_labelled(label: str, texts: Sequence[str], arity: int,
+                    make: Callable[[List[BigPoly]], Any]) -> Any:
+    """make applied to the parsed texts; raises ConfigError labelled
+    label[i] for a text that does not parse, and label for polynomials
+    that make rejects."""
+    polys = []
+    for i, text in enumerate(texts):
+        try:
+            polys.append(polyparse.parse(text, arity))
+        except polyparse.PolyParseError as exc:
+            raise ConfigError("%s[%d]: %s" % (label, i, exc)) from None
+    try:
+        return make(polys)
+    except ValueError as exc:
+        raise ConfigError("%s: %s" % (label, exc)) from None
+
+
 def parse_map(text: str, arity: int) -> RationalMap:
     """The reduced map whose ';'-separated components text gives.
 
     Raises ConfigError labelled map[i] for a component that does not
     parse, and map for components that do not form a map.
     """
-    comps = []
-    for i, part in enumerate(text.split(";")):
-        try:
-            comps.append(polyparse.parse(part, arity))
-        except polyparse.PolyParseError as exc:
-            raise ConfigError("map[%d]: %s" % (i, exc)) from None
-    try:
-        return projgeom.make_map(comps)
-    except ValueError as exc:
-        raise ConfigError("map: %s" % exc) from None
+    return _parse_labelled("map", text.split(";"), arity, projgeom.make_map)
 
 
 def build_scenario(config: ScenarioConfig) -> Tuple[RationalMap, SubschemeIdeal, ProjPoint]:
@@ -240,18 +227,8 @@ def build_scenario(config: ScenarioConfig) -> Tuple[RationalMap, SubschemeIdeal,
     semantic level (inhomogeneous components, zero map, bad primes, ...).
     """
     f = parse_map(config.map, config.arity)
-
-    gens = []
-    for i, text in enumerate(config.ideal):
-        try:
-            gens.append(polyparse.parse(text, config.arity))
-        except polyparse.PolyParseError as exc:
-            raise ConfigError("ideal[%d]: %s" % (i, exc)) from None
-    try:
-        ideal = projgeom.make_ideal(gens)
-    except ValueError as exc:
-        raise ConfigError("ideal: %s" % exc) from None
-
+    ideal = _parse_labelled("ideal", config.ideal, config.arity,
+                            projgeom.make_ideal)
     try:
         x0 = projgeom.make_point(config.start)
     except ValueError as exc:
@@ -271,14 +248,13 @@ def build_scenario(config: ScenarioConfig) -> Tuple[RationalMap, SubschemeIdeal,
 
 @dataclass
 class TrendReport:
-    usable: int
+    usable_ratios: int
     window: Optional[Tuple[int, int]]  # first and last n in the tail window
     tail_count: int
     median_tail: Optional[float]
     verdict: str  # "ratio -> 0" | "ratio -> 1" | "inconclusive"
     ols_slope: Optional[float] = None
     ols_intercept: Optional[float] = None
-    ols_points: int = 0
 
 
 @dataclass
@@ -298,8 +274,8 @@ class ScenarioReport:
     config: ScenarioConfig
     rows: List[HeightRow]
     orbit: projgeom.OrbitResult
-    degree_seq: Optional[DegreeSequence]
-    d1: Optional[float]
+    degree_seq: DegreeSequence
+    d1: float
     fiber: Optional[FiberCountReport]
     alpha: Optional[AlphaEstimate]
     trend: TrendReport
@@ -326,7 +302,7 @@ def classify_trend(rows: Sequence[HeightRow]) -> TrendReport:
     """
     usable = [(r.n, r.h, r.ratio) for r in rows if r.ratio is not None]
     if len(usable) < 4:
-        return TrendReport(usable=len(usable), window=None, tail_count=0,
+        return TrendReport(usable_ratios=len(usable), window=None, tail_count=0,
                            median_tail=None, verdict="inconclusive")
     k = math.ceil(len(usable) / 3)
     tail = usable[-k:]
@@ -350,10 +326,10 @@ def classify_trend(rows: Sequence[HeightRow]) -> TrendReport:
             slope = degrees.ordered_sum((x - xbar) * (y - ybar)
                                         for x, y in pts) / den
             intercept = ybar - slope * xbar
-    return TrendReport(usable=len(usable), window=(tail[0][0], tail[-1][0]),
+    return TrendReport(usable_ratios=len(usable),
+                       window=(tail[0][0], tail[-1][0]),
                        tail_count=len(tail), median_tail=med, verdict=verdict,
-                       ols_slope=slope, ols_intercept=intercept,
-                       ols_points=len(pts))
+                       ols_slope=slope, ols_intercept=intercept)
 
 
 def hypothesis_verdict(alpha: Optional[float], d_top: Optional[float],
@@ -556,19 +532,9 @@ def _summary_dict(report: ScenarioReport) -> Dict[str, Any]:
         "periodic": report.orbit.periodic,
         "period_start": report.orbit.period_start,
         "d1_estimate": report.d1,
-        "degree_sequence": [list(e) for e in report.degree_seq.entries]
-        if report.degree_seq else None,
-        "degree_sequence_truncated": report.degree_seq.truncated
-        if report.degree_seq else None,
-        "trend": {
-            "usable_ratios": report.trend.usable,
-            "window": list(report.trend.window) if report.trend.window else None,
-            "tail_count": report.trend.tail_count,
-            "median_tail": report.trend.median_tail,
-            "verdict": report.trend.verdict,
-            "ols_slope": report.trend.ols_slope,
-            "ols_intercept": report.trend.ols_intercept,
-        },
+        "degree_sequence": [list(e) for e in report.degree_seq.entries],
+        "degree_sequence_truncated": report.degree_seq.truncated,
+        "trend": _fields(report.trend),
         "hypothesis_check": _fields(report.hypotheses),
         "closed_form_check": report.closed_form_check,
         "advisories": list(report.advisories),
@@ -605,11 +571,10 @@ def render_summary(report: ScenarioReport) -> str:
                         report.rows[-1].bits))
     else:
         lines.append("orbit: no points computed")
-    if report.degree_seq is not None:
-        degs = ", ".join(str(d) for _, d in report.degree_seq.entries)
-        lines.append("degrees of iterates: %s%s -> d1 estimate %.6g"
-                     % (degs, " (truncated)" if report.degree_seq.truncated else "",
-                        report.d1))
+    degs = ", ".join(str(d) for _, d in report.degree_seq.entries)
+    lines.append("degrees of iterates: %s%s -> d1 estimate %.6g"
+                 % (degs, " (truncated)" if report.degree_seq.truncated else "",
+                    report.d1))
     if report.fiber is not None:
         hist = ", ".join("%d:%d" % (k, v)
                          for k, v in sorted(report.fiber.histogram.items()))
@@ -632,7 +597,7 @@ def render_summary(report: ScenarioReport) -> str:
                         t.median_tail, t.verdict, ols))
     else:
         lines.append("height-ratio trend: %s (%d usable ratios)"
-                     % (t.verdict, t.usable))
+                     % (t.verdict, t.usable_ratios))
     lines.append("hypothesis check: %s" % report.hypotheses.verdict)
     if report.hyperbolicity is not None:
         hy = report.hyperbolicity

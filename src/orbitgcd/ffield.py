@@ -1,11 +1,11 @@
 """Prime-field arithmetic and polynomial evaluation over F_p.
 
-Supports the fiber-counting estimator: modular reduction of integer
-polynomials, iteration over P^2(F_p), and a small univariate toolkit
-(division, gcd, derivative, resultant, interpolation) on coefficient
-lists stored low degree first.  Primes are validated probabilistically at
-construction with error below 2^-64; the primes this package actually
-uses are small enough that the check is in fact deterministic.
+Supports the fiber-counting estimator: modular reduction and evaluation
+of integer polynomials, and a small univariate toolkit (division, gcd,
+derivative, resultant, interpolation) on coefficient lists stored low
+degree first.  Primes are validated probabilistically at construction
+with error below 2^-64; the primes this package actually uses are small
+enough that the check is in fact deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .poly import BigPoly
 
@@ -80,29 +80,6 @@ def eval_terms(terms: Terms, point: Sequence[int], prime: int) -> int:
                 v = v * pow(x, e, prime) % prime
         acc += v
     return acc % prime
-
-
-def proj_points_fp(N: int, prime: int) -> Iterator[Tuple[int, ...]]:
-    """Each point of P^N(F_p) once, normalized to last nonzero coord = 1."""
-    check_prime(prime)
-    if N != 2:
-        raise ValueError("only P^2 is supported")
-    for a in range(prime):
-        for b in range(prime):
-            yield (a, b, 1)
-    for a in range(prime):
-        yield (a, 1, 0)
-    yield (1, 0, 0)
-
-
-def normalize_proj(vec: Sequence[int], prime: int) -> "Tuple[int, ...] | None":
-    """Canonical representative with last nonzero coordinate 1, or None for 0."""
-    vals = [v % prime for v in vec]
-    for i in range(len(vals) - 1, -1, -1):
-        if vals[i]:
-            inv = pow(vals[i], prime - 2, prime)
-            return tuple(v * inv % prime for v in vals)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,7 @@ def subscheme_height(Y: SubschemeIdeal, x: ProjPoint) -> HeightValue:
     for g in Y.generators:
         v = poly.eval_int(g, x.coords)
         if v != 0:
-            ok, d = poly.is_homogeneous(g)
-            assert ok and d is not None
-            values.append((abs(v), d))
+            values.append((abs(v), poly.degree(g)))
     if not values:
         return HeightValue(None, None, None, True)
 

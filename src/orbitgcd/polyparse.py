@@ -1,4 +1,4 @@
-"""Text form of polynomials: a small recursive-descent parser and printer.
+"""Text form of polynomials: a small recursive-descent parser.
 
 Grammar (whitespace insignificant, no implicit multiplication):
 
@@ -10,9 +10,10 @@ Grammar (whitespace insignificant, no implicit multiplication):
 
 VAR is x0..x{arity-1}; INT is a non-negative decimal literal.  '^' binds to
 the atom immediately before it, so -x0^2 means -(x0^2); chaining as in
-x0^2^3 is rejected.  Exponents above 2^16 are rejected outright.  This
-grammar is the contract for every config file and command-line flag that
-accepts a polynomial.
+x0^2^3 is rejected.  Exponents above 2^16 are rejected outright, and so
+is nesting deeper than MAX_NESTING, counting each open parenthesis and
+each unary minus that encloses a factor.  This grammar is the contract
+for every config file and command-line flag that accepts a polynomial.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from . import poly
 from .poly import BigPoly
 
 MAX_EXPONENT = 1 << 16
+# a parenthesis level costs five stack frames of the recursive descent, so
+# this stays well below Python's default recursion limit of 1000
+MAX_NESTING = 64
 
 
 class PolyParseError(ValueError):
@@ -75,6 +79,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.arity = arity
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -112,11 +117,18 @@ class _Parser:
                 return acc
 
     def parse_factor(self) -> BigPoly:
-        kind, val, _ = self.peek()
+        # self.depth counts the factors enclosing this one
+        kind, val, at = self.peek()
+        if self.depth > MAX_NESTING:
+            raise PolyParseError("nesting deeper than %d" % MAX_NESTING, at)
+        self.depth += 1
         if kind == "OP" and val == "-":
             self.take()
-            return -self.parse_factor()
-        return self.parse_power()
+            out = -self.parse_factor()
+        else:
+            out = self.parse_power()
+        self.depth -= 1
+        return out
 
     def parse_power(self) -> BigPoly:
         base = self.parse_atom()
@@ -171,28 +183,3 @@ def parse(text: str, arity: int) -> BigPoly:
     if kind != "END":
         raise PolyParseError("unexpected %r after expression" % val, at)
     return result
-
-
-def format_poly(p: BigPoly) -> str:
-    """Render in the grammar above; format_poly(parse(s)) reparses equal."""
-    if not p.terms:
-        return "0"
-    items = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]),
-                   reverse=True)
-    pieces: List[str] = []
-    for exps, coeff in items:
-        factors: List[str] = []
-        mag = abs(coeff)
-        if mag != 1 or not any(exps):
-            factors.append(str(mag))
-        for i, e in enumerate(exps):
-            if e == 1:
-                factors.append("x%d" % i)
-            elif e > 1:
-                factors.append("x%d^%d" % (i, e))
-        body = "*".join(factors)
-        if not pieces:
-            pieces.append(body if coeff > 0 else "-" + body)
-        else:
-            pieces.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(pieces)

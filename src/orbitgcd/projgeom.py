@@ -186,7 +186,8 @@ def make_map(components: Sequence[BigPoly]) -> RationalMap:
         if poly.degree(g) == 0:
             break
     assert g is not None
-    if poly.degree(g) and poly.degree(g) > 0:
+    g_deg = poly.degree(g)
+    if g_deg:
         reduced = []
         for c in comps:
             q = poly.div_exact(c, g)
@@ -210,9 +211,7 @@ def make_map(components: Sequence[BigPoly]) -> RationalMap:
                 comps = [poly.neg(x) for x in comps]
             break
 
-    _, deg = poly.is_homogeneous(next(c for c in comps if c.terms))
-    assert deg is not None
-    return RationalMap(tuple(comps), deg)
+    return RationalMap(tuple(comps), common_deg - g_deg)
 
 
 @dataclass

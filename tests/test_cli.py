@@ -255,6 +255,46 @@ def test_fiber_counting_outside_p2_is_a_flag_in_both_front_ends(
     assert payload["summary"]["fiber"] is None
 
 
+def test_repeated_fiber_prime_is_skipped_in_both_front_ends(tmp_path, capsys):
+    # a repeated prime used to replace its first histogram in by_prime, so
+    # by_prime disagreed with the overall histogram
+    flag = "fiber counting skipped prime 1009: repeated"
+    assert main(["degrees", "--map", "x0^2*x1; x1^3; x2^3", "--n-max", "2",
+                 "--primes", "1009,1009", "--targets", "3"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["flags"] == [flag]
+    counts = payload["dN_counts"]
+    assert counts["by_prime"] == {"1009": counts["histogram"]}
+    assert counts["samples"] == 3
+    data = {"arity": 3, "map": "x0^2*x1; x1^3; x2^3", "ideal": ["x0", "x1"],
+            "start": [3, 2, 1], "n_max": 4, "primes": [1009, 2003, 1009],
+            "targets_per_prime": 3}
+    cfg = write_config(tmp_path, "twice.json", data)
+    assert main(["run", "--config", cfg, "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["flags"] == [flag]
+    fiber = payload["summary"]["fiber"]
+    assert list(fiber["by_prime"]) == ["1009", "2003"]
+    assert fiber["samples"] == 6
+
+
+@pytest.mark.parametrize("component", ["(" * 200 + "x2" + ")" * 200,
+                                       "-" * 990 + "x2"])
+def test_deeply_nested_map_is_a_user_error_in_both_front_ends(
+        tmp_path, capsys, component):
+    # the recursive-descent parser used to end in RecursionError (exit 3)
+    map_text = "x0; x1; " + component
+    assert main(["degrees", "--map", map_text, "--n-max", "1"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error: map[2]: nesting deeper than 64 (at position ")
+    data = {"arity": 3, "map": map_text, "ideal": ["x0"],
+            "start": [1, 2, 3], "n_max": 2}
+    cfg = write_config(tmp_path, "deep.json", data)
+    assert main(["run", "--config", cfg]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error: map[2]: nesting deeper than 64 (at position ")
+
+
 def _monomial(exps):
     return "*".join("x%d^%d" % (v, e) for v, e in enumerate(exps) if e)
 

@@ -13,11 +13,12 @@ from orbitgcd import degrees, ffield, polyparse, projgeom
 from orbitgcd.degrees import (arithmetic_degree_estimate, d1_estimate,
                               degree_sequence, geometric_fiber_count,
                               hyperbolicity_report, monomial_dyn_degrees,
-                              orbit_genericity_heuristic, rational_fiber_count,
+                              orbit_genericity_heuristic,
                               topological_degree_ff)
 from orbitgcd.ffield import (is_probable_prime, uni_deg, uni_interpolate,
                              uni_mul, uni_norm, uni_resultant)
 from orbitgcd.projgeom import make_map, make_point
+from oracles import rational_fiber_count
 
 
 def pmap(*comps: str, arity: int = 3) -> projgeom.RationalMap:

@@ -63,6 +63,38 @@ def test_config_from_dict_rejects_unknown_and_missing_keys():
         config_from_dict(wrong)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("arity", True), ("n_max", True), ("targets_per_prime", True),
+    ("composition_cap", True), ("start", (3, True, 1)), ("primes", (True,)),
+])
+def test_every_integer_field_rejects_a_bool(name, value):
+    # True is an int to Python; the config rejects it however it is built
+    with pytest.raises(ConfigError, match="^%s: need an integer" % name):
+        small_config(**{name: value})
+    as_json = list(value) if isinstance(value, tuple) else value
+    with pytest.raises(ConfigError, match="^%s: need an integer" % name):
+        config_from_dict(dict(small_config().to_dict(), **{name: as_json}))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("ideal", "x0"), ("start", 3), ("primes", 1009), ("primes", {"p": 1009}),
+    ("metadata", ["a", "b"]), ("metadata", "yes"), ("map", ["x0", "x1", "x2"]),
+])
+def test_non_list_and_non_mapping_values_are_rejected(name, value):
+    good = small_config().to_dict()
+    with pytest.raises(ConfigError, match="^%s: " % name):
+        config_from_dict(dict(good, **{name: value}))
+    with pytest.raises(ConfigError, match="^%s: " % name):
+        small_config(**{name: value})
+
+
+@pytest.mark.parametrize("name", experiments.BUILTIN_NAMES)
+def test_builtin_configs_round_trip_through_their_dicts(name):
+    cfg = builtin_scenario(name)
+    assert config_from_dict(cfg.to_dict()) == cfg
+    assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
 def test_load_config_file_roundtrip(tmp_path):
     cfg = small_config()
     path = tmp_path / "scenario.json"
@@ -114,7 +146,7 @@ def synth_rows(ratios, h_base=math.e):
 def test_trend_too_few_usable():
     t = classify_trend(synth_rows([0.5, 0.5, None, 0.5]))
     assert t.verdict == "inconclusive"
-    assert t.usable == 3 and t.median_tail is None and t.window is None
+    assert t.usable_ratios == 3 and t.median_tail is None and t.window is None
 
 
 def test_trend_low_median_goes_to_zero():
@@ -140,10 +172,9 @@ def test_trend_middle_median_inconclusive():
 def test_trend_skips_unusable_rows_and_fits_diagnostic_line():
     ratios = [None, 0.8, 0.7, 0.6, 0.5, 0.4, None, 0.3]
     t = classify_trend(synth_rows(ratios))
-    assert t.usable == 6
+    assert t.usable_ratios == 6
     assert t.tail_count == 2
     assert t.window == (5, 7)  # n of the tail rows, not positions
-    assert t.ols_points == 2
     assert t.ols_slope is not None and t.ols_intercept is not None
 
 

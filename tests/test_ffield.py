@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from orbitgcd import poly, polyparse
 from orbitgcd.ffield import (check_prime, distinct_root_count, eval_terms,
-                             is_probable_prime, normalize_proj,
-                             proj_points_fp, reduce_poly, uni_deg, uni_divmod,
-                             uni_gcd, uni_interpolate, uni_mul, uni_norm,
-                             uni_resultant)
+                             is_probable_prime, reduce_poly, uni_deg,
+                             uni_divmod, uni_gcd, uni_interpolate, uni_mul,
+                             uni_norm, uni_resultant)
+from oracles import normalize_proj, proj_points_fp
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from orbitgcd import poly
 from orbitgcd.poly import BigPoly, add, eval_int, mul, neg, scale, variable
-from orbitgcd.polyparse import MAX_EXPONENT, PolyParseError, format_poly, parse
+from orbitgcd.polyparse import MAX_EXPONENT, MAX_NESTING, PolyParseError, parse
+from oracles import format_poly
 
 
 def test_basic_terms():
@@ -75,6 +76,25 @@ def test_exponent_cap():
     parse("x0^%d" % MAX_EXPONENT, 1)
     with pytest.raises(PolyParseError):
         parse("x0^%d" % (MAX_EXPONENT + 1), 1)
+
+
+def test_nesting_cap():
+    # parentheses and unary minus both nest; the first factor past the cap
+    # is where the error points
+    x0 = poly.variable(1, 0)
+    assert parse("(" * MAX_NESTING + "x0" + ")" * MAX_NESTING, 1) == x0
+    assert parse("-" * MAX_NESTING + "x0", 1) == x0
+    assert parse("-(" * (MAX_NESTING // 2) + "x0" + ")" * (MAX_NESTING // 2),
+                 1) == x0
+    for text, at in [("(" * (MAX_NESTING + 1) + "x0" + ")" * (MAX_NESTING + 1),
+                      MAX_NESTING + 1),
+                     ("x0 + " + "-" * 990 + "x0", 5 + MAX_NESTING + 1),
+                     ("(" * 200 + "x0" + ")" * 200, MAX_NESTING + 1),
+                     ("-(" * MAX_NESTING + "x0" + ")" * MAX_NESTING,
+                      MAX_NESTING + 1)]:
+        with pytest.raises(PolyParseError, match="nesting deeper than") as info:
+            parse(text, 1)
+        assert info.value.position == at
 
 
 def test_empty_and_garbage_inputs():
