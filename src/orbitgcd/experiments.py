@@ -48,8 +48,8 @@ def _need_int(name: str, value: Any, low: Optional[int] = None) -> None:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description; construction checks every field's
-    type and range, so a config that exists is a valid one.
+    """Scenario description; construction checks every field's type and
+    range, and build_scenario checks what needs parsing.
 
     map is a semicolon-separated list of homogeneous components; ideal is
     a list of homogeneous generators cutting out the subscheme whose
