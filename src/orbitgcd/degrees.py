@@ -328,7 +328,7 @@ def topological_degree_ff(f: RationalMap, primes: Sequence[int],
 
     Targets are drawn from the affine chart (a : b : 1), which covers all
     but a null set of P^2(F_p).  Ties in the histogram are all reported
-    and flagged ambiguous.
+    and flagged ambiguous.  A repeated prime raises ValueError.
     """
     if f.arity != 3:
         raise ValueError("fiber counting is implemented for P^2 only")
@@ -339,6 +339,8 @@ def topological_degree_ff(f: RationalMap, primes: Sequence[int],
     overall: Counter = Counter()
     failed = samples = 0
     for prime in primes:
+        if prime in by_prime:
+            raise ValueError("prime %d is repeated" % prime)
         comps = [ffield.reduce_poly(c, prime) for c in f.components]
         if any(not c for c in comps):
             raise ValueError("prime %d wipes out a map component" % prime)

@@ -15,20 +15,22 @@ Z[x0..xN]: the result is primitive (integer content 1) with positive
 leading coefficient, so it is unique and the integer part of a common
 divisor must be tracked separately via :func:`content`.
 
-:func:`gcd_multivar` splits off the common monomial factor and runs a
-primitive pseudo-remainder sequence in the last variable x_k that either
-operand involves.  The sequence keeps each operand as a polynomial in x_k
-with coefficients in the other variables, and divides every remainder by
-its content: the integer content times the gcd of its coefficients, found
-by recursion on fewer variables.  The last nonzero remainder, times the gcd
-of the two operands' contents, is the gcd; it becomes a BigPoly again only
-at the end, and is checked by exact division of both inputs.
+:func:`gcd_multivar` splits off the common monomial factor.  Two forms
+then lose a variable: setting x_v = 1, at the first variable either
+involves, keeps both degrees, as x_v divides neither, and the gcd of the
+results homogenises back to theirs.  The rest is a primitive
+pseudo-remainder sequence in the last variable x_k that either operand
+involves, over coefficients in the other variables (ints once x_k is the
+only one).  It divides every remainder by its content: the integer content
+times the gcd of its coefficients, found by recursion on fewer variables.
+The last nonzero remainder, times the gcd of the two operands' contents,
+is the gcd; it is checked by exact division of both inputs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 TermMap = Dict[Exponent, int]
@@ -347,9 +349,9 @@ def primitive_part(p: BigPoly) -> BigPoly:
                                               for e, v in p.terms.items()}))
 
 
-# p viewed as a polynomial in one variable x_k: {exponent of x_k: nonzero
-# coefficient free of x_k}
-Univariate = Dict[int, BigPoly]
+# p as a polynomial in x_k: {exponent of x_k: nonzero coefficient free of
+# x_k}, a BigPoly, or an int once x_k is the only variable
+Univariate = Dict[int, Union[BigPoly, int]]
 
 
 def _as_univariate(p: BigPoly, var: int) -> Univariate:
@@ -362,12 +364,15 @@ def _as_univariate(p: BigPoly, var: int) -> Univariate:
     return {e: _trusted(p.arity, tm) for e, tm in out.items()}
 
 
-def _primitive_wrt(u: Univariate) -> Tuple[BigPoly, Univariate]:
+def _primitive_wrt(u: Univariate) -> Tuple[Union[BigPoly, int], Univariate]:
     """(content, primitive part) of a nonzero u.
 
     The content is the integer content times the primitive gcd of the
     coefficients, so the primitive part has content 1 in Z[x0..xN].
     """
+    if isinstance(next(iter(u.values())), int):
+        ic = math.gcd(*u.values())
+        return ic, {e: c // ic for e, c in u.items()}
     g: Optional[BigPoly] = None
     ic = 0
     for c in u.values():
@@ -387,7 +392,7 @@ def _primitive_wrt(u: Univariate) -> Tuple[BigPoly, Univariate]:
 
 
 def _pseudo_rem(a: Univariate, b: Univariate) -> Univariate:
-    """Pseudo-remainder of a by b in their main variable.
+    """Pseudo-remainder of a by b in x_k, over BigPoly or int coefficients.
 
     Each step scales the remainder by lc(b) and subtracts lc(r) x^k b; the
     top terms cancel by construction, so the step pops r's top term and
@@ -395,17 +400,17 @@ def _pseudo_rem(a: Univariate, b: Univariate) -> Univariate:
     """
     db = max(b)
     lcb = b[db]
-    tail = [(e - db, neg(c)) for e, c in b.items() if e != db]
+    tail = [(e - db, -c) for e, c in b.items() if e != db]
     r = dict(a)
     while r and max(r) >= db:
         dr = max(r)
         lcr = r.pop(dr)
-        r = {e: mul(c, lcb) for e, c in r.items()}
+        r = {e: c * lcb for e, c in r.items()}
         for shift, c in tail:
             k = dr + shift
-            t = mul(c, lcr)
-            s = add(r[k], t) if k in r else t
-            if s.terms:
+            t = c * lcr
+            s = r[k] + t if k in r else t
+            if s:
                 r[k] = s
             else:
                 del r[k]
@@ -414,11 +419,16 @@ def _pseudo_rem(a: Univariate, b: Univariate) -> Univariate:
 
 def _gcd_exact(p: BigPoly, q: BigPoly) -> BigPoly:
     """gcd of two non-constant polynomials, up to sign, by a primitive
-    pseudo-remainder sequence in the last variable either involves."""
-    var = max(i for f in (p, q) for exps in f.terms
-              for i, e in enumerate(exps) if e)
-    cont_p, a = _primitive_wrt(_as_univariate(p, var))
-    cont_q, b = _primitive_wrt(_as_univariate(q, var))
+    pseudo-remainder sequence in the last variable either involves; over
+    the integers, when it is the only one, the contents' gcd is a unit."""
+    involved = {i for f in (p, q) for exps in f.terms
+                for i, e in enumerate(exps) if e}
+    var = max(involved)
+    if len(involved) == 1:
+        us = [{exps[var]: c for exps, c in f.terms.items()} for f in (p, q)]
+    else:
+        us = [_as_univariate(f, var) for f in (p, q)]
+    (cont_p, a), (cont_q, b) = (_primitive_wrt(u) for u in us)
     if max(a) < max(b):
         a, b = b, a
     # once b is free of x_var it is a unit, being primitive: the primitive
@@ -428,6 +438,10 @@ def _gcd_exact(p: BigPoly, q: BigPoly) -> BigPoly:
         if not r:
             break
         a, b = b, _primitive_wrt(r)[1]
+    if len(involved) == 1:
+        zeros = (0,) * p.arity
+        return _trusted(p.arity, {zeros[:var] + (e,) + zeros[var + 1:]: c
+                                  for e, c in b.items()})
     terms = {exps[:var] + (e,) + exps[var + 1:]: coeff
              for e, c in b.items() for exps, coeff in c.terms.items()}
     return mul(gcd_multivar(cont_p, cont_q), _trusted(p.arity, terms))
@@ -437,9 +451,10 @@ def gcd_multivar(p: BigPoly, q: BigPoly) -> BigPoly:
     """Primitive gcd in Z[x0..xN], leading coefficient positive.
 
     Zero, equal and single-term operands are dispatched directly.
-    Otherwise the shared monomial factor is split off and the rest comes
-    from the exact primitive-PRS recursion.  The result is verified by
-    exact division of both inputs.
+    Otherwise the shared monomial factor is split off; two forms are then
+    dehomogenised at the first variable either involves, and the rest
+    comes from the exact primitive-PRS recursion.  The result is verified
+    by exact division of both inputs.
     """
     _check_arity(p, q)
     if not p.terms:
@@ -457,7 +472,20 @@ def gcd_multivar(p: BigPoly, q: BigPoly) -> BigPoly:
         # a monomial operand shares only the monomial factor
         return mono
 
-    g = _normalize_sign(mul(mono, _gcd_exact(ps, qs)))
+    if is_homogeneous(ps)[0] and is_homogeneous(qs)[0]:
+        # x_v divides neither form, so setting x_v = 1 keeps both degrees
+        # and is multiplicative: the gcd homogenises back at its own degree
+        v = min(i for f in (ps, qs) for exps in f.terms
+                for i, e in enumerate(exps) if e)
+        g = _gcd_exact(*(_trusted(p.arity, {e[:v] + (0,) + e[v + 1:]: c
+                                            for e, c in f.terms.items()})
+                         for f in (ps, qs)))
+        d = degree(g)
+        g = _trusted(p.arity, {e[:v] + (d - sum(e),) + e[v + 1:]: c
+                               for e, c in g.terms.items()})
+    else:
+        g = _gcd_exact(ps, qs)
+    g = _normalize_sign(mul(mono, g))
     if div_exact(p, g) is None or div_exact(q, g) is None:
         raise AssertionError("gcd candidate fails exact division")
     return g

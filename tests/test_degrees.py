@@ -177,6 +177,9 @@ def test_fiber_guards():
     f = pmap("53*x0^2 + 53*x1^2", "x1^2", "x2^2")
     with pytest.raises(ValueError, match="wipes out a map component"):
         topological_degree_ff(f, [53], 1)
+    # by_prime keeps one histogram per prime, so a repeat cannot be counted
+    with pytest.raises(ValueError, match="prime 1009 is repeated"):
+        topological_degree_ff(pmap(*BACKNONFIN), [1009, 1009], 3)
 
 
 def test_fiber_histogram_pinned_for_a_quadratic_with_a_base_point():

@@ -1,7 +1,9 @@
 """gcd_multivar, resultant and the divisor certificate against sympy.
 
-For the gcd, both homogeneous and non-homogeneous operands are drawn, in
-two and three variables, half of the pairs with a planted common factor.
+For the gcd, pairs of forms, of non-forms and of one of each are drawn, in
+two to four variables and of unequal degrees, half of them with a planted
+common factor.  Pinned pairs cover the corners of reducing two forms to one
+fewer variable and of the integer pseudo-remainder sequence at the bottom.
 Larger operands, up to 50 terms of degree 16, are the unreduced iterates
 that degree_sequence hands to the gcd.
 sympy's gcd keeps the integer content, so the oracle is normalised to
@@ -44,18 +46,20 @@ def polys(draw, arity, homogeneous, max_deg):
 
 @st.composite
 def pairs(draw):
-    arity = draw(st.integers(2, 3))
-    homogeneous = draw(st.booleans())
+    arity = draw(st.integers(2, 4))
+    # one form and one non-form when the two flags differ; the factor is a
+    # form unless neither operand is, so that a form stays one
+    form_p, form_q = draw(st.booleans()), draw(st.booleans())
     factor = const(arity, 1)
     if draw(st.booleans()):
-        factor = draw(polys(arity, homogeneous, 2))
-    p = mul(factor, draw(polys(arity, homogeneous, 3)))
-    q = mul(factor, draw(polys(arity, homogeneous, 3)))
+        factor = draw(polys(arity, form_p or form_q, 2))
+    p = mul(factor, draw(polys(arity, form_p, 3)))
+    q = mul(factor, draw(polys(arity, form_q, draw(st.integers(1, 4)))))
     return p, q
 
 
 def sympy_gcd_terms(p, q):
-    gens = GENS[:p.arity]
+    gens = sympy.symbols("x0:%d" % p.arity)
     g = sympy.gcd(sympy.Poly.from_dict(p.terms, *gens, domain="ZZ"),
                   sympy.Poly.from_dict(q.terms, *gens, domain="ZZ"))
     _, g = g.primitive()
@@ -70,6 +74,33 @@ def sympy_gcd_terms(p, q):
 def test_gcd_multivar_matches_sympy(pq):
     p, q = pq
     assert gcd_multivar(p, q).terms == sympy_gcd_terms(p, q)
+
+
+PINNED_PAIRS = {
+    # x0, the first variable either form involves, is absent from q
+    "first-variable-absent": (3, "(x0 + x1)*(x1 - 2*x2)",
+                              "(x1 - 2*x2)*(3*x1 + x2)"),
+    "forms-in-x1-x2": (3, "(x1 + x2)^2*(x1 - x2)", "(x1 + x2)*(3*x1^2 + x2^2)"),
+    "integer-content": (2, "2*x0 + 2*x1", "4*x0 + 4*x1"),
+    "integer-content-unequal": (3, "6*x0^2 - 6*x1*x2", "4*x0*x2 - 4*x1*x2^2"),
+    "negative-leading": (3, "(-x0 + x1)*(x0 + x2)", "(-x0 + x1)*(-x1 - 5*x2)"),
+    "negative-leading-binary": (2, "-3*x0^3 + x1^3", "-9*x0^2 + 3*x0*x1"),
+    # pseudo-remainder of x^5 + x^3 + x^2 + 2 by x^3 + x + 1 is 2, so with
+    # the factor x + 2 the remainder drops from degree 4 to 1
+    "prem-drops-three-forms": (
+        2, "(x1 + 2*x0)*(x1^5 + x0^2*x1^3 + x0^3*x1^2 + 2*x0^5)",
+        "(x1 + 2*x0)*(x1^3 + x0^2*x1 + x0^3)"),
+    "prem-drops-three-over-x0": (
+        2, "(x1 + 2*x0)*(x1^5 + x1^3 + x1^2 + 2)", "(x1 + 2*x0)*(x1^3 + x1 + 1)"),
+}
+
+
+@pytest.mark.parametrize("arity, p_text, q_text", PINNED_PAIRS.values(),
+                         ids=PINNED_PAIRS.keys())
+def test_gcd_multivar_matches_sympy_on_pinned_pairs(arity, p_text, q_text):
+    p, q = polyparse.parse(p_text, arity), polyparse.parse(q_text, arity)
+    assert gcd_multivar(p, q).terms == sympy_gcd_terms(p, q)
+    assert gcd_multivar(q, p).terms == sympy_gcd_terms(p, q)
 
 
 THREE_BASE_POINTS = "x0^2 + x1*x2; x1^2 - x0*x2; x2^2 + x0*x1"
