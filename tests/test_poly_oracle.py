@@ -82,7 +82,7 @@ PINNED_PAIRS = {
                               "(x1 - 2*x2)*(3*x1 + x2)"),
     "forms-in-x1-x2": (3, "(x1 + x2)^2*(x1 - x2)", "(x1 + x2)*(3*x1^2 + x2^2)"),
     "integer-content": (2, "2*x0 + 2*x1", "4*x0 + 4*x1"),
-    "integer-content-unequal": (3, "6*x0^2 - 6*x1*x2", "4*x0*x2 - 4*x1*x2^2"),
+    "integer-content-mixed": (3, "6*x0^2 - 6*x1*x2", "4*x0*x2 - 4*x1*x2^2"),
     "negative-leading": (3, "(-x0 + x1)*(x0 + x2)", "(-x0 + x1)*(-x1 - 5*x2)"),
     "negative-leading-binary": (2, "-3*x0^3 + x1^3", "-9*x0^2 + 3*x0*x1"),
     # pseudo-remainder of x^5 + x^3 + x^2 + 2 by x^3 + x + 1 is 2, so with
