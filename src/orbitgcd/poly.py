@@ -10,10 +10,18 @@ which makes leading terms well defined and division deterministic.
 The zero polynomial has no terms; its degree is the sentinel ``None``,
 never a fake numeric value.
 
-Coefficient arithmetic is exact throughout.  The gcd here is the gcd in
-Z[x0..xN]: the result is primitive (integer content 1) with positive
-leading coefficient, so it is unique and the integer part of a common
-divisor must be tracked separately via :func:`content`.
+Coefficient arithmetic is exact throughout.  :func:`mul` multiplies dense
+operands by Kronecker substitution: each is packed into one int, with the
+coefficient of x^e at bit w * slot(e), the two ints are multiplied once,
+and the product is read back slot by slot.  The slot width w holds
+min(#p, #q) * max|p| * max|q| plus a sign bit.  The packed path runs when
+#p + #q + slots <= #p * #q; a one-term operand shifts and scales the
+other, and the remaining products are convolved term by term.
+
+The gcd here is the gcd in Z[x0..xN]: the result is primitive (integer
+content 1) with positive leading coefficient, so it is unique and the
+integer part of a common divisor must be tracked separately via
+:func:`content`.
 
 :func:`gcd_multivar` splits off the common monomial factor.  Two forms
 then lose a variable: setting x_v = 1, at the first variable either
@@ -162,12 +170,41 @@ def scale(p: BigPoly, c: int) -> BigPoly:
 
 
 def mul(p: BigPoly, q: BigPoly) -> BigPoly:
-    """Exact product via term-by-term convolution."""
+    """Exact product.
+
+    A one-term operand shifts and scales the other.  Otherwise mul packs
+    each operand into one int by Kronecker substitution, when that costs
+    fewer steps than the convolution: packing reads each term and each
+    slot of the product once, and the convolution takes each pair of
+    terms once, so the packed path runs when #p + #q + slots <= #p * #q.
+    Dense products are packed, and sparse products of high degree are
+    convolved, which keeps them sparse.
+
+    Packing: variable i of the product spans B_i exponents, from the sum
+    of the operands' least exponents up; two forms keep all but the last
+    variable, which the total degree restores.  The slot of x^e is
+    sum_i (e_i - low_i) * B_0 ... B_{i-1}, so slots = B_0 ... B_k, and an
+    operand packs into the int with each coefficient at bit w * slot.  A
+    product coefficient sums at most min(#p, #q) products of two
+    coefficients, so the slot width w holds min(#p, #q) * max|p| * max|q|
+    plus a sign bit, in whole bytes.  The product of the two ints is read
+    back as signed w-bit slots; a slot read as negative borrowed one from
+    the slot above, which carries it back.
+    """
     _check_arity(p, q)
-    out: TermMap = {}
-    # iterate over the smaller support in the outer loop
+    # the smaller support in the outer loop
     if len(p.terms) > len(q.terms):
         p, q = q, p
+    if len(p.terms) <= 1:
+        out: TermMap = {}
+        for pe, pc in p.terms.items():
+            out = {tuple(a + b for a, b in zip(pe, qe)): pc * qc
+                   for qe, qc in q.terms.items()}
+        return _trusted(p.arity, out)
+    packed = _mul_packed(p, q)
+    if packed is not None:
+        return packed
+    out = {}
     qitems = list(q.terms.items())
     for pe, pc in p.terms.items():
         for qe, qc in qitems:
@@ -178,6 +215,60 @@ def mul(p: BigPoly, q: BigPoly) -> BigPoly:
             else:
                 del out[key]
     return _trusted(p.arity, out)
+
+
+def _mul_packed(p: BigPoly, q: BigPoly) -> Optional[BigPoly]:
+    """p * q packed as in :func:`mul`, or None when #p + #q + slots
+    exceeds #p * #q."""
+    pairs, terms = len(p.terms) * len(q.terms), len(p.terms) + len(q.terms)
+    # the packed product has at least #p + #q - 1 slots
+    if 2 * terms - 1 > pairs:
+        return None
+    kept = p.arity
+    total = 0
+    degs_p, degs_q = set(map(sum, p.terms)), set(map(sum, q.terms))
+    if len(degs_p) == len(degs_q) == 1:
+        kept -= 1
+        total = degs_p.pop() + degs_q.pop()
+    cols_p, cols_q = list(zip(*p.terms))[:kept], list(zip(*q.terms))[:kept]
+    spans = [max(a) - min(a) + max(b) - min(b) + 1
+             for a, b in zip(cols_p, cols_q)]
+    slots = math.prod(spans)
+    if terms + slots > pairs:
+        return None
+    lows_p, lows_q = list(map(min, cols_p)), list(map(min, cols_q))
+    bound = (min(len(p.terms), len(q.terms)) * max(map(abs, p.terms.values()))
+             * max(map(abs, q.terms.values())))
+    width = (bound.bit_length() + 8) // 8
+
+    def pack(f: BigPoly, cols: List[Tuple[int, ...]], lows: List[int]) -> int:
+        at = [0] * len(f.terms)
+        stride = width
+        for col, low, span in zip(cols, lows, spans):
+            at = [a + (e - low) * stride for a, e in zip(at, col)]
+            stride *= span
+        pos, neg = bytearray(max(at) + width), bytearray(max(at) + width)
+        for a, c in zip(at, f.terms.values()):
+            if c > 0:
+                pos[a:a + width] = c.to_bytes(width, "little")
+            else:
+                neg[a:a + width] = (-c).to_bytes(width, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    raw = (pack(p, cols_p, lows_p) * pack(q, cols_q, lows_q)).to_bytes(
+        width * slots, "little", signed=True)
+    reads = [int.from_bytes(raw[at:at + width], "little", signed=True)
+             for at in range(0, width * slots, width)]
+    # the exponents of the slots in order, x0 fastest
+    grid: List[Exponent] = [()]
+    for low, span in zip(map(int.__add__, lows_p, lows_q), spans):
+        grid = [g + (e,) for e in range(low, low + span) for g in grid]
+    if kept < p.arity:
+        grid = [g + (total - sum(g),) for g in grid]
+    # a negative read borrowed one from the slot above
+    return _trusted(p.arity, {e: c for e, s, below
+                              in zip(grid, reads, [0] + reads)
+                              if (c := s + (below < 0))})
 
 
 def eval_int(p: BigPoly, point: Sequence[int]) -> int:

@@ -441,6 +441,16 @@ def test_degrees_map_payload(capsys):
     assert payload["flags"] == []
 
 
+def test_degrees_map_a2_to_degree_243(capsys):
+    # the only degree-243 products in the suite
+    assert main(["degrees", "--map", "x0^2*x1; x1^3 + x0^2*x1 + x0*x2^2; x2^3",
+                 "--n-max", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [e[:2] for e in payload["d1_sequence"]] \
+        == [[1, 3], [2, 9], [3, 27], [4, 81], [5, 243]]
+    assert not payload["truncated"] and payload["flags"] == []
+
+
 def test_degrees_map_with_fiber_counts(capsys):
     assert main(["degrees", "--map", "x0^2*x1; x1^3; x2^3",
                  "--n-max", "3", "--primes", "1009", "--targets", "5"]) == 0

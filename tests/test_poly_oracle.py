@@ -1,4 +1,11 @@
-"""gcd_multivar, resultant and the divisor certificate against sympy.
+"""mul, gcd_multivar, resultant and the divisor certificate against sympy.
+
+For the product, forms, non-forms and one-term operands in one to four
+variables are drawn with small and with 64- to 200-bit coefficients, at
+low degree (dense, so mul packs them into one int product) and at high
+degree (sparse, so mul convolves them).  Pinned products cover the slot
+width, the carry between slots, the implied last exponent of two forms,
+and the largest product in a2's degree sequence.
 
 For the gcd, pairs of forms, of non-forms and of one of each are drawn, in
 two to four variables and of unequal degrees, half of them with a planted
@@ -22,8 +29,8 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 
 from orbitgcd import elimination, polyparse, projgeom  # noqa: E402
-from orbitgcd.poly import (BigPoly, compose, const, gcd_multivar,  # noqa: E402
-                           mul)
+from orbitgcd.poly import (BigPoly, _mul_packed, compose, const,  # noqa: E402
+                           gcd_multivar, mul, zero)
 
 GENS = sympy.symbols("x0:3")
 
@@ -42,6 +49,142 @@ def polys(draw, arity, homogeneous, max_deg):
     terms = draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool),
                                  min_size=1, max_size=4))
     return BigPoly(arity, terms)
+
+
+def sympy_terms(poly):
+    """Term dict of a sympy Poly, zero coefficients dropped."""
+    return {tuple(e): int(c) for e, c in poly.terms() if c}
+
+
+def sympy_mul_terms(p, q):
+    gens = sympy.symbols("x0:%d" % p.arity)
+    return sympy_terms(sympy.Poly.from_dict(p.terms, *gens, domain="ZZ")
+                       * sympy.Poly.from_dict(q.terms, *gens, domain="ZZ"))
+
+
+COEFFS = st.builds(lambda sign, size: sign * size, st.sampled_from([1, -1]),
+                   st.one_of(st.integers(1, 9), st.integers(2**64, 2**200)))
+
+
+def exponents(arity, deg, form):
+    return [e for e in itertools.product(range(deg + 1), repeat=arity)
+            if sum(e) == deg or not form and sum(e) < deg]
+
+
+@st.composite
+def factors(draw, arity, kind, form):
+    deg = 12 if kind == "sparse" else draw(st.integers(2, 4))
+    pool = exponents(arity, deg, form)
+    if kind == "dense":
+        monos = draw(st.permutations(pool))[draw(st.integers(0, 2)):] or pool
+    else:
+        size = 1 if kind == "one-term" else draw(st.integers(2, 6))
+        monos = draw(st.lists(st.sampled_from(pool), min_size=size,
+                              max_size=size, unique=True))
+    coeffs = draw(st.lists(COEFFS, min_size=len(monos), max_size=len(monos)))
+    return BigPoly(arity, dict(zip(monos, coeffs)))
+
+
+@st.composite
+def products(draw):
+    """Half the pairs are two dense forms or two dense non-forms, at
+    degree 2-4 with all but at most two monomials, which mul mostly
+    packs; the other half mix dense, one-term and sparse operands, the
+    latter at degree 12 with 2-6 terms, which it convolves."""
+    arity = draw(st.integers(1, 4))
+    kinds = st.sampled_from(["dense", "sparse", "one-term"])
+    # a form in one variable has one term
+    forms = st.booleans() if arity > 1 else st.just(False)
+    if draw(st.booleans()):
+        form = draw(forms)
+        return tuple(draw(factors(arity, "dense", form)) for _ in "pq")
+    return tuple(draw(factors(arity, draw(kinds), draw(forms))) for _ in "pq")
+
+
+@settings(max_examples=300, deadline=None)
+@given(products())
+def test_mul_matches_sympy(pq):
+    p, q = pq
+    assert mul(p, q).terms == sympy_mul_terms(p, q)
+
+
+def edge(k):
+    """The largest coefficient that k bytes hold with a sign bit."""
+    return 2 ** (8 * k - 1) - 1
+
+
+# four-term binary cubic forms, the smallest forms that mul packs
+CUBIC = "%d*x0^3 + %d*x0^2*x1 + %d*x0*x1^2 + %d*x1^3"
+
+PINNED_PRODUCTS = {
+    # m = edge(k) fills a k-byte slot, and the product's middle
+    # coefficient 4 m^2 needs 2k + 1 bytes
+    **{"slot-edge-%d%s" % (k, "+-"[sign < 0]): (
+        2, CUBIC % ((edge(k),) * 4), CUBIC % ((sign * edge(k),) * 4),
+        "packed") for k in (1, 2, 9) for sign in (1, -1)},
+    # the middle coefficient 4c = 2^(8k - 1) - 4 of the product is three
+    # below the top of its k-byte slot
+    **{"product-at-slot-edge-%d%s" % (k, "+-"[sign < 0]): (
+        2, CUBIC % (1, 1, 1, 1),
+        CUBIC % ((sign * (2 ** (8 * k - 3) - 1),) * 4),
+        "packed") for k in (1, 3) for sign in (1, -1)},
+    # the top slot is negative, and so are p's packed value and the product's
+    "negative-packed-value": (2, CUBIC % (-1, 2, -1, 5), CUBIC % (3, 1, 4, -1),
+                              "packed"),
+    # (x0 - x1)(x0^2 - x0 x1 + x1^2) times (x0 + x1)(x0^2 + x0 x1 + x1^2)
+    # is x0^6 - x1^6: every inner slot cancels, and a borrow crosses them
+    "cancel-to-two-terms": (2, CUBIC % (1, -2, 2, -1), CUBIC % (1, 2, 2, 1),
+                            "packed"),
+    "cancel-big": (2, CUBIC % tuple(2**130 * c for c in (1, -2, 2, -1)),
+                   CUBIC % tuple(-3**90 * c for c in (1, 2, 2, 1)), "packed"),
+    # two forms in x0..x3 keep x0..x2, and x3 is implied
+    "forms-arity-4": (4, "(x0 + x1 - x2 + 2*x3)^3", "(x0 - x1 + x2 + x3)^3",
+                      "packed"),
+    "non-forms": (2, "(x0 + x1 - 1)^3", "(2*x0 - x1 + 3)^3", "packed"),
+    "univariate": (1, "x0^3 - 2*x0^2 - 2*x0 + 5", "-x0^3 + x0^2 + 4*x0 + 1",
+                   "packed"),
+    # a product of two polynomials of two or more terms keeps two terms, so
+    # one term comes only from a one-term operand
+    "one-term": (3, "-3*x0*x2^4", "x0^2 - x1*x2 + 9", "one-term"),
+    "binomials": (3, "x0^8 + x1*x2^7", "x1^8 - x0*x2^7", "convolution"),
+    "sparse-high-degree": (2, "x0^30 + x0^17*x1^2 + x1^25 - 3",
+                           "x1^40 - x0*x1^9 + 2*x0^33 + x0", "convolution"),
+}
+
+
+@pytest.mark.parametrize("arity, p_text, q_text, path",
+                         PINNED_PRODUCTS.values(), ids=PINNED_PRODUCTS.keys())
+def test_mul_matches_sympy_on_pinned_products(arity, p_text, q_text, path):
+    p, q = polyparse.parse(p_text, arity), polyparse.parse(q_text, arity)
+    if path != "one-term":
+        assert (_mul_packed(p, q) is not None) == (path == "packed")
+    assert mul(p, q).terms == mul(q, p).terms == sympy_mul_terms(p, q)
+
+
+def test_mul_by_zero_is_zero():
+    p = polyparse.parse("x0^2 - x1*x2", 3)
+    assert not mul(p, zero(3)).terms and not mul(zero(3), p).terms
+
+
+A2 = "x0^2*x1; x1^3 + x0^2*x1 + x0*x2^2; x2^3"
+
+
+def test_compose_matches_sympy_on_a2_fourth_iterate():
+    # f o f^3 squares the 90-term component of f^3 (degree 27) to 385
+    # terms and multiplies those by the 90: the largest products of a2's
+    # degree sequence to n = 4
+    f = projgeom.make_map([polyparse.parse(t, 3) for t in A2.split(";")])
+    f3 = f
+    for _ in range(2):
+        f3 = projgeom.make_map([compose(c, f3.components)
+                                for c in f.components])
+    assert sorted(len(c.terms) for c in f3.components) == [1, 27, 90]
+    images = [sympy.Poly.from_dict(c.terms, *GENS, domain="ZZ")
+              for c in f3.components]
+    for c in f.components:
+        want = sum(coeff * math.prod(g ** e for g, e in zip(images, exps))
+                   for exps, coeff in c.terms.items())
+        assert compose(c, f3.components).terms == sympy_terms(want)
 
 
 @st.composite
