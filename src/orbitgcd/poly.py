@@ -15,8 +15,8 @@ operands by Kronecker substitution: each is packed into one int, with the
 coefficient of x^e at bit w * slot(e), the two ints are multiplied once,
 and the product is read back slot by slot.  The slot width w holds
 min(#p, #q) * max|p| * max|q| plus a sign bit.  The packed path runs when
-#p + #q + slots <= #p * #q; a one-term operand shifts and scales the
-other, and the remaining products are convolved term by term.
+16 + #p + #q + slots <= #p * #q, and the remaining products are convolved
+term by term.
 
 The gcd here is the gcd in Z[x0..xN]: the result is primitive (integer
 content 1) with positive leading coefficient, so it is unique and the
@@ -172,13 +172,13 @@ def scale(p: BigPoly, c: int) -> BigPoly:
 def mul(p: BigPoly, q: BigPoly) -> BigPoly:
     """Exact product.
 
-    A one-term operand shifts and scales the other.  Otherwise mul packs
-    each operand into one int by Kronecker substitution, when that costs
-    fewer steps than the convolution: packing reads each term and each
-    slot of the product once, and the convolution takes each pair of
-    terms once, so the packed path runs when #p + #q + slots <= #p * #q.
-    Dense products are packed, and sparse products of high degree are
-    convolved, which keeps them sparse.
+    mul packs each operand into one int by Kronecker substitution, when
+    that costs less than the convolution, which takes each pair of terms
+    once.  Packing reads each term and each slot of the product once,
+    after a fixed cost of about 16 pairs (_PACK_COST), so the packed path
+    runs when 16 + #p + #q + slots <= #p * #q.  Dense products are packed,
+    and small products, one-term operands and sparse products of high
+    degree are convolved, which keeps them sparse.
 
     Packing: variable i of the product spans B_i exponents, from the sum
     of the operands' least exponents up; two forms keep all but the last
@@ -192,19 +192,13 @@ def mul(p: BigPoly, q: BigPoly) -> BigPoly:
     the slot above, which carries it back.
     """
     _check_arity(p, q)
-    # the smaller support in the outer loop
-    if len(p.terms) > len(q.terms):
-        p, q = q, p
-    if len(p.terms) <= 1:
-        out: TermMap = {}
-        for pe, pc in p.terms.items():
-            out = {tuple(a + b for a, b in zip(pe, qe)): pc * qc
-                   for qe, qc in q.terms.items()}
-        return _trusted(p.arity, out)
     packed = _mul_packed(p, q)
     if packed is not None:
         return packed
-    out = {}
+    out: TermMap = {}
+    # the smaller support in the outer loop
+    if len(p.terms) > len(q.terms):
+        p, q = q, p
     qitems = list(q.terms.items())
     for pe, pc in p.terms.items():
         for qe, qc in qitems:
@@ -217,12 +211,18 @@ def mul(p: BigPoly, q: BigPoly) -> BigPoly:
     return _trusted(p.arity, out)
 
 
+# The fixed cost of a packed product, in pairs of terms convolved: about
+# 25 us against 1.5 us a pair, fitted to every mul call of the perfbench
+# workloads (2-core Xeon, Python 3.11); rules with 8 to 24 here time alike.
+_PACK_COST = 16
+
+
 def _mul_packed(p: BigPoly, q: BigPoly) -> Optional[BigPoly]:
-    """p * q packed as in :func:`mul`, or None when #p + #q + slots
-    exceeds #p * #q."""
+    """p * q packed as in :func:`mul`, or None when
+    _PACK_COST + #p + #q + slots exceeds #p * #q."""
     pairs, terms = len(p.terms) * len(q.terms), len(p.terms) + len(q.terms)
     # the packed product has at least #p + #q - 1 slots
-    if 2 * terms - 1 > pairs:
+    if _PACK_COST + terms + terms - 1 > pairs:
         return None
     kept = p.arity
     total = 0
@@ -234,7 +234,7 @@ def _mul_packed(p: BigPoly, q: BigPoly) -> Optional[BigPoly]:
     spans = [max(a) - min(a) + max(b) - min(b) + 1
              for a, b in zip(cols_p, cols_q)]
     slots = math.prod(spans)
-    if terms + slots > pairs:
+    if _PACK_COST + terms + slots > pairs:
         return None
     lows_p, lows_q = list(map(min, cols_p)), list(map(min, cols_q))
     bound = (min(len(p.terms), len(q.terms)) * max(map(abs, p.terms.values()))

@@ -1,11 +1,13 @@
 """mul, gcd_multivar, resultant and the divisor certificate against sympy.
 
 For the product, forms, non-forms and one-term operands in one to four
-variables are drawn with small and with 64- to 200-bit coefficients, at
-low degree (dense, so mul packs them into one int product) and at high
-degree (sparse, so mul convolves them).  Pinned products cover the slot
-width, the carry between slots, the implied last exponent of two forms,
-and the largest product in a2's degree sequence.
+variables are drawn with small and with 64- to 200-bit coefficients:
+dense operands, which mul packs into one int product or convolves, on
+either side of its rule, and sparse ones of high degree, which it
+convolves; the draw is checked to reach both paths.  Pinned products cover
+the slot width, the carry between slots, the implied last exponent of two
+forms, the edge of the rule, and the largest product in a2's degree
+sequence.
 
 For the gcd, pairs of forms, of non-forms and of one of each are drawn, in
 two to four variables and of unequal degrees, half of them with a planted
@@ -23,7 +25,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, find, given, settings
 from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
@@ -71,9 +73,19 @@ def exponents(arity, deg, form):
             if sum(e) == deg or not form and sum(e) < deg]
 
 
+# dense degrees on both sides of mul's rule: two forms in two variables, or
+# two polynomials in one, of degree d (d + 1 terms each) pack from d = 6 on,
+# and two non-forms in two variables from d = 3 on
+DENSE_DEGREES = {1: range(4, 11), 2: range(3, 9), 3: range(2, 6),
+                 4: range(2, 5)}
+
+
 @st.composite
 def factors(draw, arity, kind, form):
-    deg = 12 if kind == "sparse" else draw(st.integers(2, 4))
+    if kind == "sparse":
+        deg = 12
+    else:
+        deg = draw(st.sampled_from(DENSE_DEGREES[arity]))
     pool = exponents(arity, deg, form)
     if kind == "dense":
         monos = draw(st.permutations(pool))[draw(st.integers(0, 2)):] or pool
@@ -87,10 +99,10 @@ def factors(draw, arity, kind, form):
 
 @st.composite
 def products(draw):
-    """Half the pairs are two dense forms or two dense non-forms, at
-    degree 2-4 with all but at most two monomials, which mul mostly
-    packs; the other half mix dense, one-term and sparse operands, the
-    latter at degree 12 with 2-6 terms, which it convolves."""
+    """Half the pairs are two dense forms or two dense non-forms, with all
+    but at most two monomials of a degree in DENSE_DEGREES, which mul
+    packs or convolves; the other half mix dense, one-term and sparse
+    operands, the latter at degree 12 with 2-6 terms, which it convolves."""
     arity = draw(st.integers(1, 4))
     kinds = st.sampled_from(["dense", "sparse", "one-term"])
     # a form in one variable has one term
@@ -105,7 +117,14 @@ def products(draw):
 @given(products())
 def test_mul_matches_sympy(pq):
     p, q = pq
+    event("packed" if _mul_packed(p, q) is not None else "convolved")
     assert mul(p, q).terms == sympy_mul_terms(p, q)
+
+
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "convolved"])
+def test_products_reach_both_paths(packed):
+    find(products(), lambda pq: (_mul_packed(*pq) is not None) == packed,
+         settings=settings(database=None))
 
 
 def edge(k):
@@ -113,39 +132,53 @@ def edge(k):
     return 2 ** (8 * k - 1) - 1
 
 
-# four-term binary cubic forms, the smallest forms that mul packs
-CUBIC = "%d*x0^3 + %d*x0^2*x1 + %d*x0*x1^2 + %d*x1^3"
+def binary_form(*coeffs):
+    """sum_i coeffs[i] x0^(d - i) x1^i, with d = len(coeffs) - 1."""
+    d = len(coeffs) - 1
+    return " + ".join("%d*x0^%d*x1^%d" % (c, d - i, i)
+                      for i, c in enumerate(coeffs))
 
+
+# two binary septics, of 8 terms each, pack: 16 + 16 + 15 slots <= 64 pairs
 PINNED_PRODUCTS = {
     # m = edge(k) fills a k-byte slot, and the product's middle
-    # coefficient 4 m^2 needs 2k + 1 bytes
+    # coefficient 8 m^2 needs 2k + 1 bytes
     **{"slot-edge-%d%s" % (k, "+-"[sign < 0]): (
-        2, CUBIC % ((edge(k),) * 4), CUBIC % ((sign * edge(k),) * 4),
+        2, binary_form(*[edge(k)] * 8), binary_form(*[sign * edge(k)] * 8),
         "packed") for k in (1, 2, 9) for sign in (1, -1)},
-    # the middle coefficient 4c = 2^(8k - 1) - 4 of the product is three
-    # below the top of its k-byte slot
+    # the middle coefficient 8c = +-(2^(8k - 1) - 8) of the product lies
+    # within 8 of the end of its k-byte slot
     **{"product-at-slot-edge-%d%s" % (k, "+-"[sign < 0]): (
-        2, CUBIC % (1, 1, 1, 1),
-        CUBIC % ((sign * (2 ** (8 * k - 3) - 1),) * 4),
+        2, binary_form(*[1] * 8),
+        binary_form(*[sign * (2 ** (8 * k - 4) - 1)] * 8),
         "packed") for k in (1, 3) for sign in (1, -1)},
     # the top slot is negative, and so are p's packed value and the product's
-    "negative-packed-value": (2, CUBIC % (-1, 2, -1, 5), CUBIC % (3, 1, 4, -1),
-                              "packed"),
-    # (x0 - x1)(x0^2 - x0 x1 + x1^2) times (x0 + x1)(x0^2 + x0 x1 + x1^2)
-    # is x0^6 - x1^6: every inner slot cancels, and a borrow crosses them
-    "cancel-to-two-terms": (2, CUBIC % (1, -2, 2, -1), CUBIC % (1, 2, 2, 1),
-                            "packed"),
-    "cancel-big": (2, CUBIC % tuple(2**130 * c for c in (1, -2, 2, -1)),
-                   CUBIC % tuple(-3**90 * c for c in (1, 2, 2, 1)), "packed"),
+    "negative-packed-value": (2, binary_form(-1, 2, -1, 5, 3, -2, 1, 4),
+                              binary_form(3, 1, 4, -1, 5, 9, -2, 6), "packed"),
+    # (x0 + x1)(x0^7 - x1^7)/(x0 - x1) times (x0 - x1)(x0^7 + x1^7)/(x0 + x1)
+    # is x0^14 - x1^14: every inner slot cancels, and a borrow crosses them
+    "cancel-to-two-terms": (2, binary_form(1, 2, 2, 2, 2, 2, 2, 1),
+                            binary_form(1, -2, 2, -2, 2, -2, 2, -1), "packed"),
+    "cancel-big": (
+        2, binary_form(*[2**130 * c for c in (1, 2, 2, 2, 2, 2, 2, 1)]),
+        binary_form(*[-3**90 * c for c in (1, -2, 2, -2, 2, -2, 2, -1)]),
+        "packed"),
+    # either side of the rule: two sextics pack, 16 + 14 + 13 <= 49, and
+    # two quintics do not, 16 + 12 + 11 > 36
+    "rule-edge-packed": (2, binary_form(1, -3, 2, 5, -1, 4, 7),
+                         binary_form(2, 1, -6, 3, 3, -2, 1), "packed"),
+    "rule-edge-convolved": (2, binary_form(1, -3, 2, 5, -1, 4),
+                            binary_form(2, 1, -6, 3, 3, -2), "convolution"),
     # two forms in x0..x3 keep x0..x2, and x3 is implied
     "forms-arity-4": (4, "(x0 + x1 - x2 + 2*x3)^3", "(x0 - x1 + x2 + x3)^3",
                       "packed"),
     "non-forms": (2, "(x0 + x1 - 1)^3", "(2*x0 - x1 + 3)^3", "packed"),
-    "univariate": (1, "x0^3 - 2*x0^2 - 2*x0 + 5", "-x0^3 + x0^2 + 4*x0 + 1",
+    "univariate": (1, "x0^6 - 2*x0^5 - 2*x0^4 + 5*x0^3 + x0^2 - 7*x0 + 3",
+                   "-x0^6 + x0^5 + 4*x0^4 + x0^3 - 3*x0^2 + 2*x0 + 1",
                    "packed"),
     # a product of two polynomials of two or more terms keeps two terms, so
     # one term comes only from a one-term operand
-    "one-term": (3, "-3*x0*x2^4", "x0^2 - x1*x2 + 9", "one-term"),
+    "one-term": (3, "-3*x0*x2^4", "x0^2 - x1*x2 + 9", "convolution"),
     "binomials": (3, "x0^8 + x1*x2^7", "x1^8 - x0*x2^7", "convolution"),
     "sparse-high-degree": (2, "x0^30 + x0^17*x1^2 + x1^25 - 3",
                            "x1^40 - x0*x1^9 + 2*x0^33 + x0", "convolution"),
@@ -156,8 +189,7 @@ PINNED_PRODUCTS = {
                          PINNED_PRODUCTS.values(), ids=PINNED_PRODUCTS.keys())
 def test_mul_matches_sympy_on_pinned_products(arity, p_text, q_text, path):
     p, q = polyparse.parse(p_text, arity), polyparse.parse(q_text, arity)
-    if path != "one-term":
-        assert (_mul_packed(p, q) is not None) == (path == "packed")
+    assert (_mul_packed(p, q) is not None) == (path == "packed")
     assert mul(p, q).terms == mul(q, p).terms == sympy_mul_terms(p, q)
 
 
