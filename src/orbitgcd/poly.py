@@ -33,6 +33,16 @@ only one).  It divides every remainder by its content: the integer content
 times the gcd of its coefficients, found by recursion on fewer variables.
 The last nonzero remainder, times the gcd of the two operands' contents,
 is the gcd; it is checked by exact division of both inputs.
+
+Two forms without a common monomial factor first pass a coprimality screen
+(Brown, J. ACM 1971).  Take a variable x_k whose pure power x_k^d has a
+coefficient that the prime P = 2^61 - 1 does not divide, in one operand f
+of degree d, and fix every other variable at a residue mod P.  If the two
+univariate images in x_k are coprime, so are the forms: a nonconstant
+common form g divides f, so its x_k^(deg g) coefficient divides that of
+x_k^d and is prime to P too; g's image then keeps degree deg g >= 1 and
+divides both images.  Otherwise the exact path runs unchanged, and the
+gcds of contents inside it are not screened.
 """
 
 from __future__ import annotations
@@ -471,7 +481,7 @@ def _primitive_wrt(u: Univariate) -> Tuple[Union[BigPoly, int], Univariate]:
         if g is None:
             g = primitive_part(c)
         elif degree(g) > 0:
-            g = gcd_multivar(g, c)
+            g = _gcd(g, c, screen=False)
     cont = scale(g, ic)
     prim = {}
     for e, c in u.items():
@@ -535,18 +545,56 @@ def _gcd_exact(p: BigPoly, q: BigPoly) -> BigPoly:
                                   for e, c in b.items()})
     terms = {exps[:var] + (e,) + exps[var + 1:]: coeff
              for e, c in b.items() for exps, coeff in c.terms.items()}
-    return mul(gcd_multivar(cont_p, cont_q), _trusted(p.arity, terms))
+    return mul(_gcd(cont_p, cont_q, screen=False), _trusted(p.arity, terms))
+
+
+# the screen's prime and the base of the residues x_j -> B^(j+1) mod P
+_SCREEN_PRIME = 2**61 - 1
+_SCREEN_BASE = 0x9E3779B97F4A7C15
+
+
+def _coprime_images(p: BigPoly, q: BigPoly) -> bool:
+    """True when one image mod P proves the forms p and q coprime.
+
+    x_k is the last variable whose pure power has a coefficient prime to
+    P in p or in q, and x_j -> B^(j+1) for j != k.  A common form would
+    keep its degree there, so coprime images prove coprime forms.
+    """
+    from .ffield import uni_gcd, uni_norm
+    n, P = p.arity, _SCREEN_PRIME
+    degs = [sum(next(iter(f.terms))) for f in (p, q)]
+    for k in reversed(range(n)):
+        if any(f.terms.get((0,) * k + (d,) + (0,) * (n - k - 1), 0) % P
+               for f, d in zip((p, q), degs)):
+            break
+    else:
+        return False
+    point = [1 if j == k else pow(_SCREEN_BASE, j + 1, P) for j in range(n)]
+    images = []
+    for f, d in zip((p, q), degs):
+        u = [0] * (d + 1)
+        for e, c in f.terms.items():
+            u[e[k]] += c * math.prod(map(pow, point, e, [P] * n)) % P
+        images.append(uni_norm([c % P for c in u]))
+    return len(uni_gcd(*images, P)) == 1
 
 
 def gcd_multivar(p: BigPoly, q: BigPoly) -> BigPoly:
     """Primitive gcd in Z[x0..xN], leading coefficient positive.
 
     Zero, equal and single-term operands are dispatched directly.
-    Otherwise the shared monomial factor is split off; two forms are then
-    dehomogenised at the first variable either involves, and the rest
-    comes from the exact primitive-PRS recursion.  The result is verified
-    by exact division of both inputs.
+    Otherwise the shared monomial factor is split off.  Two forms whose
+    images mod a prime are coprime (:func:`_coprime_images`) share only
+    that monomial.  Other forms are dehomogenised at the first variable
+    either involves, and the rest comes from the exact primitive-PRS
+    recursion.  The result is verified by exact division of both inputs.
     """
+    return _gcd(p, q, screen=True)
+
+
+def _gcd(p: BigPoly, q: BigPoly, screen: bool) -> BigPoly:
+    """gcd_multivar, which screens two forms for coprimality only when
+    screen is set; the content recursion of the PRS does not."""
     _check_arity(p, q)
     if not p.terms:
         return primitive_part(q)
@@ -564,6 +612,8 @@ def gcd_multivar(p: BigPoly, q: BigPoly) -> BigPoly:
         return mono
 
     if is_homogeneous(ps)[0] and is_homogeneous(qs)[0]:
+        if screen and _coprime_images(ps, qs):
+            return mono
         # x_v divides neither form, so setting x_v = 1 keeps both degrees
         # and is multiplicative: the gcd homogenises back at its own degree
         v = min(i for f in (ps, qs) for exps in f.terms

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -32,6 +33,22 @@ def write_config(tmp_path, name="swapmap.json", data=None):
     path = tmp_path / name
     path.write_text(json.dumps(data or PERIODIC_CONFIG), encoding="utf-8")
     return str(path)
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Raise TimeoutError in the block once it has run for `seconds`, so
+    that a stall fails one test fast (SIGALRM: POSIX, main thread only)."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after %d s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +322,8 @@ def p2_configs(draw):
     monomials of one degree d in 1..3 with coefficients +-1..3, 53 or 106
     (which 53 divides), and the primes include ones that wipe a component.
 
-    composition_cap is 1, d or, for d <= 2, d^2, so no iterate past
-    degree 4 is composed.  Larger caps reach the stall of poly._gcd_exact
-    (recorded as FOUND in CHANGES.md): some cubic maps at cap 9 spend
-    over 10 s reducing f^2."""
+    composition_cap is 1, d or d^2, so no iterate past degree 9 is
+    composed."""
     d = draw(st.integers(1, 3))
     monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
     coeffs = st.sampled_from([-3, -2, -1, 1, 2, 3, 53, 106])
@@ -329,8 +344,7 @@ def p2_configs(draw):
                 [53, 59, 61, 67, 101, 1009, 2003, 4001]), max_size=3,
                 unique=True)),
             "targets_per_prime": draw(st.integers(0, 3)),
-            "composition_cap": draw(st.sampled_from(
-                [1, d, d * d] if d <= 2 else [1, d]))}
+            "composition_cap": draw(st.sampled_from([1, d, d * d]))}
 
 
 @settings(max_examples=600, deadline=None)
@@ -449,6 +463,35 @@ def test_degrees_map_a2_to_degree_243(capsys):
     assert [e[:2] for e in payload["d1_sequence"]] \
         == [[1, 3], [2, 9], [3, 27], [4, 81], [5, 243]]
     assert not payload["truncated"] and payload["flags"] == []
+
+
+# maps whose degree sequences stalled in gcd_multivar's exact path, on
+# pairs of forms that are coprime, for 18 s to more than 890 s
+FORMER_GCD_STALLS = {
+    "degree-8": ("x0^8 + x1*x2^7; x1^8 - x0*x2^7; x2^8 + x0*x1^7", 2,
+                 [8, 64]),
+    "cubic-53": ("106*x0^2*x2 - x0*x2^2 - x1^2*x2; "
+                 "3*x2^3 + 53*x0*x1^2 + 53*x0^3; "
+                 "-3*x2^3 + 53*x1*x2^2 + 2*x0^2*x1", 2, [3, 9]),
+    "dense-quadratic": ("-x1^2 + x1*x2 + 2*x0^2 - 2*x0*x1 + x2^2 + x0*x2; "
+                        "-2*x1*x2 - 3*x0*x2 + 3*x0*x1 - x1^2 - 3*x2^2 - x0^2; "
+                        "x2^2 - 3*x1^2 - x1*x2 + x0*x2 + 2*x0^2 - 2*x0*x1",
+                        4, [2, 4, 8, 16]),
+    "three-base-point-support": (
+        "2*x0^2 + 2*x1*x2; -5*x1^2 - x0*x2; 4*x2^2 + 3*x0*x1", 4,
+        [2, 4, 8, 16]),
+}
+
+
+@pytest.mark.parametrize("map_text, n_max, degrees",
+                         FORMER_GCD_STALLS.values(),
+                         ids=FORMER_GCD_STALLS.keys())
+def test_former_gcd_stalls_finish(capsys, map_text, n_max, degrees):
+    with within(10):
+        assert main(["degrees", "--map", map_text,
+                     "--n-max", str(n_max)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [d for _, d, _ in payload["d1_sequence"]] == degrees
 
 
 def test_degrees_map_with_fiber_counts(capsys):

@@ -11,8 +11,10 @@ sequence.
 
 For the gcd, pairs of forms, of non-forms and of one of each are drawn, in
 two to four variables and of unequal degrees, half of them with a planted
-common factor.  Pinned pairs cover the corners of reducing two forms to one
-fewer variable and of the integer pseudo-remainder sequence at the bottom.
+common factor; the draw is checked to reach both outcomes of the screen
+that proves two forms coprime from one image mod a prime.  Pinned pairs
+cover the corners of that screen, of reducing two forms to one fewer
+variable and of the integer pseudo-remainder sequence at the bottom.
 Larger operands, up to 50 terms of degree 16, are the unreduced iterates
 that degree_sequence hands to the gcd.
 sympy's gcd keeps the integer content, so the oracle is normalised to
@@ -21,18 +23,20 @@ in graded lexicographic order.  The certificate oracle rebuilds every
 (content, squarefree part) pair from sympy's resultant and factorisation.
 """
 
+import contextlib
 import itertools
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import event, find, given, settings
+from hypothesis import Phase, event, find, given, settings
 from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from orbitgcd import elimination, polyparse, projgeom  # noqa: E402
-from orbitgcd.poly import (BigPoly, _mul_packed, compose, const,  # noqa: E402
-                           gcd_multivar, mul, zero)
+from orbitgcd import elimination, poly, polyparse, projgeom  # noqa: E402
+from orbitgcd.poly import (_SCREEN_PRIME, BigPoly, _mul_packed,  # noqa: E402
+                           compose, const, gcd_multivar, mul, zero)
 
 GENS = sympy.symbols("x0:3")
 
@@ -44,12 +48,17 @@ def forms_of_degree(arity, deg):
 
 @st.composite
 def polys(draw, arity, homogeneous, max_deg):
+    coeffs = st.integers(-9, 9).filter(bool)
     if homogeneous:
-        exps = st.sampled_from(forms_of_degree(arity, draw(st.integers(1, max_deg))))
+        deg = draw(st.integers(1, max_deg))
+        exps = st.sampled_from(forms_of_degree(arity, deg))
     else:
         exps = st.tuples(*[st.integers(0, max_deg)] * arity)
-    terms = draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool),
-                                 min_size=1, max_size=4))
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4))
+    if homogeneous and draw(st.booleans()):
+        # a pure power x_k^deg, which gcd_multivar's coprimality screen needs
+        k = draw(st.integers(0, arity - 1))
+        terms[(0,) * k + (deg,) + (0,) * (arity - k - 1)] = draw(coeffs)
     return BigPoly(arity, terms)
 
 
@@ -244,38 +253,110 @@ def sympy_gcd_terms(p, q):
     return {e: sign * c for e, c in terms.items()}
 
 
+class ExactPath(Exception):
+    """Raised in place of gcd_multivar's exact path."""
+
+
+def screen_outcome(p, q):
+    """The outcome of gcd_multivar's coprimality screen on p and q:
+    "coprime", "fell through", or "not screened" when they are not two
+    forms, or one is a monomial times a constant.  The exact path, which
+    can take seconds on sparse operands, is not run."""
+    outcomes = []
+    screen = poly._coprime_images
+
+    def record(a, b):
+        outcomes.append(screen(a, b))
+        return outcomes[-1]
+
+    with mock.patch.object(poly, "_coprime_images", record), \
+            mock.patch.object(poly, "_gcd_exact", side_effect=ExactPath), \
+            contextlib.suppress(ExactPath):
+        gcd_multivar(p, q)
+    if not outcomes:
+        return "not screened"
+    return "coprime" if outcomes[0] else "fell through"
+
+
 @settings(max_examples=150, deadline=None)
 @given(pairs())
 def test_gcd_multivar_matches_sympy(pq):
     p, q = pq
+    event("screen: " + screen_outcome(p, q))
     assert gcd_multivar(p, q).terms == sympy_gcd_terms(p, q)
+
+
+@pytest.mark.parametrize("outcome", ["coprime", "fell through"])
+def test_pairs_reach_both_screen_outcomes(outcome):
+    # about one draw in eight reaches each outcome; shrinking the pair
+    # found would take seconds and check nothing more
+    find(pairs(), lambda pq: screen_outcome(*pq) == outcome,
+         settings=settings(database=None, max_examples=1000,
+                           phases=[Phase.generate]))
 
 
 PINNED_PAIRS = {
     # x0, the first variable either form involves, is absent from q
     "first-variable-absent": (3, "(x0 + x1)*(x1 - 2*x2)",
-                              "(x1 - 2*x2)*(3*x1 + x2)"),
-    "forms-in-x1-x2": (3, "(x1 + x2)^2*(x1 - x2)", "(x1 + x2)*(3*x1^2 + x2^2)"),
-    "integer-content": (2, "2*x0 + 2*x1", "4*x0 + 4*x1"),
-    "integer-content-mixed": (3, "6*x0^2 - 6*x1*x2", "4*x0*x2 - 4*x1*x2^2"),
-    "negative-leading": (3, "(-x0 + x1)*(x0 + x2)", "(-x0 + x1)*(-x1 - 5*x2)"),
-    "negative-leading-binary": (2, "-3*x0^3 + x1^3", "-9*x0^2 + 3*x0*x1"),
+                              "(x1 - 2*x2)*(3*x1 + x2)", "fell through"),
+    "forms-in-x1-x2": (3, "(x1 + x2)^2*(x1 - x2)", "(x1 + x2)*(3*x1^2 + x2^2)",
+                       "fell through"),
+    "integer-content": (2, "2*x0 + 2*x1", "4*x0 + 4*x1", "fell through"),
+    "integer-content-mixed": (3, "6*x0^2 - 6*x1*x2", "4*x0*x2 - 4*x1*x2^2",
+                              "not screened"),
+    "negative-leading": (3, "(-x0 + x1)*(x0 + x2)", "(-x0 + x1)*(-x1 - 5*x2)",
+                         "fell through"),
+    "negative-leading-binary": (2, "-3*x0^3 + x1^3", "-9*x0^2 + 3*x0*x1",
+                                "coprime"),
     # pseudo-remainder of x^5 + x^3 + x^2 + 2 by x^3 + x + 1 is 2, so with
     # the factor x + 2 the remainder drops from degree 4 to 1
     "prem-drops-three-forms": (
         2, "(x1 + 2*x0)*(x1^5 + x0^2*x1^3 + x0^3*x1^2 + 2*x0^5)",
-        "(x1 + 2*x0)*(x1^3 + x0^2*x1 + x0^3)"),
+        "(x1 + 2*x0)*(x1^3 + x0^2*x1 + x0^3)", "fell through"),
     "prem-drops-three-over-x0": (
-        2, "(x1 + 2*x0)*(x1^5 + x1^3 + x1^2 + 2)", "(x1 + 2*x0)*(x1^3 + x1 + 1)"),
+        2, "(x1 + 2*x0)*(x1^5 + x1^3 + x1^2 + 2)", "(x1 + 2*x0)*(x1^3 + x1 + 1)",
+        "not screened"),
+    # the coprimality screen: the common factor lacks x2, so images in x2,
+    # the last variable, are coprime; but x2^3 and x2^2 are absent, so the
+    # screen takes x0
+    "screen-factor-lacks-x2": (3, "(x0 - x1)*(x0^2 + x2^2)",
+                               "(x0 - x1)*(x0 + x2)", "fell through"),
+    # P divides the x0^2 coefficient of both, and neither has x1^2 or
+    # x2^2: mod P the common factor is free of x0, so no variable is taken
+    "screen-pure-power-divisible-by-P": (
+        3, "(%d*x0 + x1)*(x0 + x2)" % _SCREEN_PRIME,
+        "(%d*x0 + x1)*(x0 - x2)" % _SCREEN_PRIME, "fell through"),
+    "screen-coprime-unequal-degrees": (
+        3, "x0^5 - 3*x1^2*x2^3 + 2*x2^5", "4*x0^2 - x1*x2 + x1^2",
+        "coprime"),
+    "screen-common-factor-unequal-degrees": (
+        3, "(x0 + 2*x1 - x2)*(x0^3 - x1*x2^2 + 5*x2^3)",
+        "(x0 + 2*x1 - x2)^2", "fell through"),
+    # x3^3 is absent from both, so the screen takes x2
+    "screen-coprime-arity-4": (4, "x0^3 + x1*x2*x3 - 2*x2^3 + x0*x3^2",
+                               "x1^2 - x0*x3 + 3*x2*x3", "coprime"),
+    "screen-common-factor-arity-4": (
+        4, "(x0 - x1 + x3)*(x2^2 + 2*x0*x3)", "(x0 - x1 + x3)*(x1 - 3*x2)",
+        "fell through"),
+    # the content of p in x2 is the gcd of the two forms x0^2 - x1^2 and
+    # x0^2 - x0*x1, which is not screened
+    "content-gcd-of-forms": (3, "(x0 - x1)*(x0*x2 + x1*x2 + x0)",
+                             "(x0 - x1)*(x2 + 1)", "not screened"),
 }
 
 
-@pytest.mark.parametrize("arity, p_text, q_text", PINNED_PAIRS.values(),
-                         ids=PINNED_PAIRS.keys())
-def test_gcd_multivar_matches_sympy_on_pinned_pairs(arity, p_text, q_text):
+@pytest.mark.parametrize("arity, p_text, q_text, screen",
+                         PINNED_PAIRS.values(), ids=PINNED_PAIRS.keys())
+def test_gcd_multivar_matches_sympy_on_pinned_pairs(arity, p_text, q_text,
+                                                    screen):
     p, q = polyparse.parse(p_text, arity), polyparse.parse(q_text, arity)
-    assert gcd_multivar(p, q).terms == sympy_gcd_terms(p, q)
-    assert gcd_multivar(q, p).terms == sympy_gcd_terms(p, q)
+    for a, b in ((p, q), (q, p)):
+        assert screen_outcome(a, b) == screen
+        with mock.patch.object(poly, "_coprime_images",
+                               wraps=poly._coprime_images) as spy:
+            assert gcd_multivar(a, b).terms == sympy_gcd_terms(p, q)
+        # only the top call is screened, never a gcd of contents
+        assert spy.call_count == (screen != "not screened")
 
 
 THREE_BASE_POINTS = "x0^2 + x1*x2; x1^2 - x0*x2; x2^2 + x0*x1"
