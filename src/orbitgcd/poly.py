@@ -41,8 +41,7 @@ of degree d, and fix every other variable at a residue mod P.  If the two
 univariate images in x_k are coprime, so are the forms: a nonconstant
 common form g divides f, so its x_k^(deg g) coefficient divides that of
 x_k^d and is prime to P too; g's image then keeps degree deg g >= 1 and
-divides both images.  Otherwise the exact path runs unchanged, and the
-gcds of contents inside it are not screened.
+divides both images.  Otherwise the exact path runs unchanged.
 """
 
 from __future__ import annotations
@@ -481,7 +480,7 @@ def _primitive_wrt(u: Univariate) -> Tuple[Union[BigPoly, int], Univariate]:
         if g is None:
             g = primitive_part(c)
         elif degree(g) > 0:
-            g = _gcd(g, c, screen=False)
+            g = gcd_multivar(g, c)
     cont = scale(g, ic)
     prim = {}
     for e, c in u.items():
@@ -545,7 +544,7 @@ def _gcd_exact(p: BigPoly, q: BigPoly) -> BigPoly:
                                   for e, c in b.items()})
     terms = {exps[:var] + (e,) + exps[var + 1:]: coeff
              for e, c in b.items() for exps, coeff in c.terms.items()}
-    return mul(_gcd(cont_p, cont_q, screen=False), _trusted(p.arity, terms))
+    return mul(gcd_multivar(cont_p, cont_q), _trusted(p.arity, terms))
 
 
 # the screen's prime and the base of the residues x_j -> B^(j+1) mod P
@@ -589,12 +588,6 @@ def gcd_multivar(p: BigPoly, q: BigPoly) -> BigPoly:
     either involves, and the rest comes from the exact primitive-PRS
     recursion.  The result is verified by exact division of both inputs.
     """
-    return _gcd(p, q, screen=True)
-
-
-def _gcd(p: BigPoly, q: BigPoly, screen: bool) -> BigPoly:
-    """gcd_multivar, which screens two forms for coprimality only when
-    screen is set; the content recursion of the PRS does not."""
     _check_arity(p, q)
     if not p.terms:
         return primitive_part(q)
@@ -612,7 +605,7 @@ def _gcd(p: BigPoly, q: BigPoly, screen: bool) -> BigPoly:
         return mono
 
     if is_homogeneous(ps)[0] and is_homogeneous(qs)[0]:
-        if screen and _coprime_images(ps, qs):
+        if _coprime_images(ps, qs):
             return mono
         # x_v divides neither form, so setting x_v = 1 keeps both degrees
         # and is multiplicative: the gcd homogenises back at its own degree
