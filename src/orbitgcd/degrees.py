@@ -39,7 +39,7 @@ GENERICITY_MAX_DEGREE = 2  # top hypersurface degree of the genericity check
 
 # Fixed large primes for exact-rank certificates (full rank mod p implies
 # full rank over Q).  Primality is asserted in the test suite.
-_RANK_PRIMES = (2305843009213693951, 1000000000000000009, 999999999999999989)
+_RANK_PRIMES = (ffield.WORD_PRIME, 1000000000000000009, 999999999999999989)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +328,8 @@ def topological_degree_ff(f: RationalMap, primes: Sequence[int],
 
     Targets are drawn from the affine chart (a : b : 1), which covers all
     but a null set of P^2(F_p).  Ties in the histogram are all reported
-    and flagged ambiguous.  A repeated prime raises ValueError.
+    and flagged ambiguous.  A repeated prime, or a number that
+    ffield.check_prime rejects, raises ValueError.
     """
     if f.arity != 3:
         raise ValueError("fiber counting is implemented for P^2 only")
@@ -341,6 +342,7 @@ def topological_degree_ff(f: RationalMap, primes: Sequence[int],
     for prime in primes:
         if prime in by_prime:
             raise ValueError("prime %d is repeated" % prime)
+        ffield.check_prime(prime)
         comps = [ffield.reduce_poly(c, prime) for c in f.components]
         if any(not c for c in comps):
             raise ValueError("prime %d wipes out a map component" % prime)

@@ -3,9 +3,10 @@
 Supports the fiber-counting estimator: modular reduction and evaluation
 of integer polynomials, and a small univariate toolkit (division, gcd,
 derivative, resultant, interpolation) on coefficient lists stored low
-degree first.  Primes are validated probabilistically at construction
-with error below 2^-64; the primes this package actually uses are small
-enough that the check is in fact deterministic.
+degree first.  WORD_PRIME = 2^61 - 1 is the prime of the package's mod-p
+screens.  Primes from outside are checked once where they enter, by
+check_prime, not by each function that takes them; the check is
+probabilistic with error below 2^-64, and deterministic below 3.3e24.
 """
 
 from __future__ import annotations
@@ -13,15 +14,18 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from .poly import BigPoly
+if TYPE_CHECKING:
+    from .poly import BigPoly
 
 # Miller-Rabin witnesses proving primality for every n < 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 MIN_PRIME = 50
+# the prime of the gcd and base-locus screens, and the first rank prime
+WORD_PRIME = 2 ** 61 - 1
 
 
 def is_probable_prime(n: int) -> bool:
@@ -65,7 +69,6 @@ Terms = List[Tuple[int, Tuple[int, ...]]]
 
 
 def reduce_poly(poly_: BigPoly, prime: int) -> Terms:
-    check_prime(prime)
     return [(c, exps) for exps, coeff in sorted(poly_.terms.items())
             if (c := coeff % prime)]
 

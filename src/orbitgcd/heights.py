@@ -82,11 +82,7 @@ def subscheme_height(Y: SubschemeIdeal, x: ProjPoint) -> HeightValue:
         m = min(d, best_d)
         if v * sup ** (best_d - m) > best_v * sup ** (d - m):
             best_v, best_d = v, d
-    g = 0
-    for v, _ in values:
-        g = math.gcd(g, v)
-        if g == 1:
-            break
+    g = math.gcd(*(v for v, _ in values))
     arch = best_d * math.log(sup) - math.log(best_v)
     gcd_part = math.log(g)
     return HeightValue(arch + gcd_part, arch, gcd_part, False,

@@ -36,7 +36,7 @@ is the gcd; it is checked by exact division of both inputs.
 
 Two forms without a common monomial factor first pass a coprimality screen
 (Brown, J. ACM 1971).  Take a variable x_k whose pure power x_k^d has a
-coefficient that the prime P = 2^61 - 1 does not divide, in one operand f
+coefficient prime to P = ffield.WORD_PRIME (2^61 - 1), in one operand f
 of degree d, and fix every other variable at a residue mod P.  If the two
 univariate images in x_k are coprime, so are the forms: a nonconstant
 common form g divides f, so its x_k^(deg g) coefficient divides that of
@@ -49,16 +49,14 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from . import ffield
+
 Exponent = Tuple[int, ...]
 TermMap = Dict[Exponent, int]
 
 
 class ArityMismatch(ValueError):
     """Operands live in polynomial rings with different variable counts."""
-
-
-class HomogeneityError(ValueError):
-    """A substitution tuple was not homogeneous of one common degree."""
 
 
 class BigPoly:
@@ -324,31 +322,16 @@ def is_homogeneous(p: BigPoly) -> Tuple[bool, Optional[int]]:
 
 
 def compose(p: BigPoly, subst: Sequence[BigPoly]) -> BigPoly:
-    """Substitute subst[i] for x_i in p.
-
-    The substitution tuple must consist of homogeneous polynomials of one
-    common degree (zero entries are degree-agnostic), the setting in which
-    iterates of projective maps live.  The result is then homogeneous of
-    degree deg(p)*d for homogeneous p.
+    """Substitute subst[i] for x_i in p, for any polynomials p and subst[i]
+    of one arity.  For forms subst[i] of one common degree d and a form p,
+    the result is a form of degree deg(p) * d.
     """
     if len(subst) != p.arity:
         raise ArityMismatch("substitution length %d vs arity %d"
                             % (len(subst), p.arity))
-    if not subst:
-        raise ValueError("empty substitution")
     out_arity = subst[0].arity
-    common: Optional[int] = None
-    for s in subst:
-        if s.arity != out_arity:
-            raise ArityMismatch("substitution entries have mixed arities")
-        ok, d = is_homogeneous(s)
-        if not ok:
-            raise HomogeneityError("substitution entry is not homogeneous")
-        if d is not None:
-            if common is not None and d != common:
-                raise HomogeneityError(
-                    "substitution degrees differ: %d vs %d" % (common, d))
-            common = d
+    if any(s.arity != out_arity for s in subst):
+        raise ArityMismatch("substitution entries have mixed arities")
 
     tables: List[Dict[int, BigPoly]] = [{0: const(out_arity, 1)}
                                         for _ in range(p.arity)]
@@ -373,12 +356,7 @@ def compose(p: BigPoly, subst: Sequence[BigPoly]) -> BigPoly:
 
 def content(p: BigPoly) -> int:
     """Non-negative gcd of all coefficients; 0 for the zero polynomial."""
-    g = 0
-    for coeff in p.terms.values():
-        g = math.gcd(g, coeff)
-        if g == 1:
-            break
-    return g
+    return math.gcd(*p.terms.values())
 
 
 def leading_term(p: BigPoly) -> Tuple[Exponent, int]:
@@ -547,8 +525,7 @@ def _gcd_exact(p: BigPoly, q: BigPoly) -> BigPoly:
     return mul(gcd_multivar(cont_p, cont_q), _trusted(p.arity, terms))
 
 
-# the screen's prime and the base of the residues x_j -> B^(j+1) mod P
-_SCREEN_PRIME = 2**61 - 1
+# the base of the screen's residues x_j -> B^(j+1) mod P
 _SCREEN_BASE = 0x9E3779B97F4A7C15
 
 
@@ -559,8 +536,7 @@ def _coprime_images(p: BigPoly, q: BigPoly) -> bool:
     P in p or in q, and x_j -> B^(j+1) for j != k.  A common form would
     keep its degree there, so coprime images prove coprime forms.
     """
-    from .ffield import uni_gcd, uni_norm
-    n, P = p.arity, _SCREEN_PRIME
+    n, P = p.arity, ffield.WORD_PRIME
     degs = [sum(next(iter(f.terms))) for f in (p, q)]
     for k in reversed(range(n)):
         if any(f.terms.get((0,) * k + (d,) + (0,) * (n - k - 1), 0) % P
@@ -574,8 +550,8 @@ def _coprime_images(p: BigPoly, q: BigPoly) -> bool:
         u = [0] * (d + 1)
         for e, c in f.terms.items():
             u[e[k]] += c * math.prod(map(pow, point, e, [P] * n)) % P
-        images.append(uni_norm([c % P for c in u]))
-    return len(uni_gcd(*images, P)) == 1
+        images.append(ffield.uni_norm([c % P for c in u]))
+    return len(ffield.uni_gcd(*images, P)) == 1
 
 
 def gcd_multivar(p: BigPoly, q: BigPoly) -> BigPoly:

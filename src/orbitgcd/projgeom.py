@@ -7,8 +7,8 @@ that the components share no polynomial factor; evaluation at a point
 either produces the image point or signals indeterminacy when every
 component vanishes (the set-theoretic base locus of the reduced tuple).
 The last point of an orbit needs no image, only that zero test, so it is
-evaluated mod SCREEN_PRIME first: a nonzero residue proves that the point
-is outside the base locus, and only when every residue is 0 are the
+evaluated mod ffield.WORD_PRIME first: a nonzero residue proves that the
+point is outside the base locus, and only when every residue is 0 are the
 components evaluated exactly.
 
 An orbit step divides the values f_i(x) by g = gcd_i f_i(x), the
@@ -28,8 +28,8 @@ The certificate is built, by orbitgcd.elimination, the first time a
 step's smallest nonzero value reaches CERTIFICATE_MIN_BITS, where the
 full gcd starts to cost more than the build.  Below that size, for other
 arities, for maps with no kept form, and where every kept c * S(x) is 0,
-the step folds the gcd over the values themselves; either way the point
-is the same.
+the smallest nonzero |value| stands in for G (make_point's default
+support); either way the point is the same.
 """
 
 from __future__ import annotations
@@ -43,10 +43,8 @@ from .poly import BigPoly
 
 Coords = Tuple[int, ...]
 
-# word-size prime for the base-locus test at the last orbit point
-SCREEN_PRIME = 2 ** 61 - 1
 # An orbit step uses the divisor certificate once its smallest nonzero
-# value has this many bits: the gcd fold's first full gcd runs at that
+# value has this many bits: make_point's first full gcd runs at that
 # size, and math.gcd of two such numbers takes about as long (2.4 ms on a
 # 2-core Xeon) as building the certificate of a sparse cubic map.
 CERTIFICATE_MIN_BITS = 1 << 15
@@ -71,34 +69,25 @@ def make_point(raw: Sequence[int], support: int = 0) -> ProjPoint:
     A nonzero support is an integer divisible by every prime that divides
     all the coordinates, such as the value of a divisor certificate; the
     common factor is then found by gcds with it instead of among the
-    coordinates themselves.
+    coordinates themselves.  The support defaults to the smallest nonzero
+    |coordinate|, so that every gcd is at most that size (math.gcd is
+    quadratic).
     """
     coords = [int(c) for c in raw]
     if len(coords) < 2:
         raise ValueError("a projective point needs at least two coordinates")
     if not any(coords):
         raise ValueError("all coordinates are zero")
-    if support:
-        # h = gcd(support, coords) has every prime of gcd(coords); after
-        # dividing by it, the primes of what is left still divide h
-        h = support
-        while h != 1:
-            for c in coords:
-                h = math.gcd(h, c % h)
-                if h == 1:
-                    break
-            else:
-                coords = [c // h for c in coords]
-    else:
-        # smallest first: math.gcd is quadratic, and the running gcd is at
-        # most as large as the smallest coordinate folded so far
-        g = 0
-        for c in sorted(coords, key=abs):
-            g = math.gcd(g, c)
-            if g == 1:
+    # h = gcd(support, coords) has every prime of gcd(coords); after
+    # dividing by it, the primes of what is left still divide h
+    h = support or min(abs(c) for c in coords if c)
+    while h != 1:
+        for c in coords:
+            h = math.gcd(h, c % h)
+            if h == 1:
                 break
-        if g != 1:
-            coords = [c // g for c in coords]
+        else:
+            coords = [c // h for c in coords]
     for c in coords:
         if c != 0:
             if c < 0:
@@ -196,11 +185,7 @@ def make_map(components: Sequence[BigPoly]) -> RationalMap:
             reduced.append(q)
         comps = reduced
 
-    ic = 0
-    for c in comps:
-        ic = math.gcd(ic, poly.content(c))
-        if ic == 1:
-            break
+    ic = math.gcd(*(v for c in comps for v in c.terms.values()))
     if ic > 1:
         comps = [poly.BigPoly(arity, {e: v // ic for e, v in c.terms.items()})
                  for c in comps]
@@ -233,12 +218,13 @@ class OrbitResult:
 def _in_base_locus(f: RationalMap, coords: Coords) -> bool:
     """Whether every component of f vanishes at coords.
 
-    Decided mod SCREEN_PRIME first; the exact values are computed only when
-    every residue is 0, which a point outside the base locus rarely gives.
+    Decided mod P = ffield.WORD_PRIME first; the exact values are computed
+    only when every residue is 0, which a point outside the base locus
+    rarely gives.
     """
-    residues = [c % SCREEN_PRIME for c in coords]
-    if any(ffield.eval_terms(ffield.reduce_poly(c, SCREEN_PRIME), residues,
-                             SCREEN_PRIME)
+    P = ffield.WORD_PRIME
+    residues = [c % P for c in coords]
+    if any(ffield.eval_terms(ffield.reduce_poly(c, P), residues, P)
            for c in f.components):
         return False
     return all(poly.eval_int(c, coords) == 0 for c in f.components)
@@ -250,7 +236,7 @@ def orbit(f: RationalMap, x0: ProjPoint, n_max: int) -> OrbitResult:
     Points before x_{n_max} are evaluated exactly, since their values give
     the next point; from CERTIFICATE_MIN_BITS on, the divisor certificate
     of f bounds their common factor.  x_{n_max} itself is only tested for
-    indeterminacy, by residues mod SCREEN_PRIME with an exact fallback
+    indeterminacy, by residues mod ffield.WORD_PRIME with an exact fallback
     when all of them are 0.
     """
     if f.arity != x0.arity:

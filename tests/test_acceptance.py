@@ -303,8 +303,8 @@ def test_criterion_8_randomized_property_battery(capsys):
             if p:
                 return p
 
-    # composition commutes with evaluation (substitutions must be
-    # homogeneous of one common degree)
+    # composition commutes with evaluation, here for forms of one common
+    # degree, the substitutions that iterates of projective maps make
     for _ in range(1500):
         inner_arity = rng.choice((2, 3))
         outer_arity = rng.choice((2, 3))

@@ -174,6 +174,9 @@ def test_fiber_guards():
         topological_degree_ff(pmap("x0^2", "x1^2", arity=2), [1009], 4)
     with pytest.raises(ValueError):
         topological_degree_ff(pmap(*BACKNONFIN), [47], 4)
+    # 91 = 7 * 13 clears the floor; the primes are checked where they enter
+    with pytest.raises(ValueError, match="91 is not prime"):
+        topological_degree_ff(pmap(*BACKNONFIN), [1009, 91], 4)
     f = pmap("53*x0^2 + 53*x1^2", "x1^2", "x2^2")
     with pytest.raises(ValueError, match="wipes out a map component"):
         topological_degree_ff(f, [53], 1)

@@ -1,12 +1,14 @@
 """Prime-field reductions and the univariate polynomial kernels."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitgcd import poly, polyparse
+from orbitgcd import ffield, poly, polyparse
 from orbitgcd.ffield import (check_prime, distinct_root_count, eval_terms,
                              is_probable_prime, reduce_poly, uni_deg,
                              uni_divmod, uni_gcd, uni_interpolate, uni_mul,
@@ -265,3 +267,26 @@ def test_uni_interpolate_roundtrip(coeffs, extra, data):
 def test_uni_interpolate_rejects_repeated_nodes():
     with pytest.raises(ValueError):
         uni_interpolate([1, 54], [2, 3], 53)
+
+
+def test_ffield_imports_no_package_module_at_run_time():
+    # poly imports ffield at module level, so ffield may name BigPoly only
+    # for type checking; a run-time import of the package would be a cycle
+    source = Path(ffield.__file__).read_text(encoding="utf-8")
+    found = []
+
+    def visit(node):
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            return
+        if isinstance(node, ast.ImportFrom):
+            found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    assert found  # the walk saw the module's own imports
+    assert not [m for m in found
+                if m.startswith(".") or m.split(".")[0] == "orbitgcd"]

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitgcd import poly
-from orbitgcd.poly import (ArityMismatch, BigPoly, HomogeneityError, add,
-                           compose, const, content, degree, div_exact,
-                           eval_int, gcd_multivar, is_homogeneous,
-                           leading_term, monomial, mul, neg, primitive_part,
-                           scale, variable, zero)
+from orbitgcd.poly import (ArityMismatch, BigPoly, add, compose, const,
+                           content, degree, div_exact, eval_int, gcd_multivar,
+                           is_homogeneous, leading_term, monomial, mul, neg,
+                           primitive_part, scale, variable, zero)
 
 
 def rand_poly(rng: random.Random, arity: int = 3, max_terms: int = 5,
@@ -131,13 +130,16 @@ def test_compose_degree_multiplies():
     assert eval_int(out, pt) == eval_int(p, inner)
 
 
-def test_compose_rejects_inhomogeneous_or_unequal_substitutions():
+def test_compose_takes_inhomogeneous_and_unequal_substitutions():
+    # substitution is a ring map for any polynomials, forms or not
     x, y = variable(2, 0), variable(2, 1)
-    p = add(x, y)
-    with pytest.raises(HomogeneityError):
-        compose(p, [add(mul(x, x), y), y])  # first subst not homogeneous
-    with pytest.raises(HomogeneityError):
-        compose(p, [mul(x, x), y])  # degrees 2 and 1 differ
+    p = add(mul(x, y), scale(mul(y, y), 3))
+    for subst in ([add(mul(x, x), y), y],  # first entry not homogeneous
+                  [mul(x, x), y]):  # degrees 2 and 1 differ
+        out = compose(p, subst)
+        for pt in [(2, -3), (0, 5), (-7, 4)]:
+            inner = [eval_int(s, pt) for s in subst]
+            assert eval_int(out, pt) == eval_int(p, inner)
 
 
 @settings(max_examples=40)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from orbitgcd import elimination, polyparse, projgeom
 from orbitgcd.elimination import resultant
+from orbitgcd.ffield import WORD_PRIME
 from orbitgcd.poly import BigPoly, compose, degree, eval_int, gcd_multivar
 from orbitgcd.projgeom import (OrbitResult, make_ideal, make_map, make_point,
                                orbit)
@@ -160,7 +161,7 @@ def test_orbit_last_point_in_base_locus_is_not_emitted():
 
 def test_orbit_last_point_with_all_residues_zero_is_emitted():
     # the values P, 2P, 2P^2 are all 0 mod P but none is 0
-    P = projgeom.SCREEN_PRIME
+    P = WORD_PRIME
     f = pmap("x0*x2", "x1*x2", "x0*x1")
     x = make_point((P, 2 * P, 1))
     res = orbit(f, x, 0)
@@ -179,7 +180,7 @@ def test_orbit_evaluates_the_last_point_exactly_only_when_residues_vanish(
     assert len(res.points) == 7
     assert evaluated == [pt.coords for pt in res.points[:-1] for _ in range(3)]
     evaluated.clear()
-    P = projgeom.SCREEN_PRIME
+    P = WORD_PRIME
     orbit(pmap("x0*x2", "x1*x2", "x0*x1"), make_point((P, 2 * P, 1)), 0)
     assert evaluated == [(P, 2 * P, 1)]
 
@@ -210,7 +211,7 @@ _QUADRATIC = [e for e in itertools.product(range(3), repeat=3) if sum(e) == 2]
 # small coordinates and multiples of the screening prime, so that starts
 # congruent to a planted base point mod P exercise the exact fallback
 _COORD = st.one_of(st.integers(-3, 3),
-                   st.integers(-3, 3).map(lambda k: k * projgeom.SCREEN_PRIME))
+                   st.integers(-3, 3).map(lambda k: k * WORD_PRIME))
 
 
 @settings(max_examples=150, deadline=None)
@@ -238,7 +239,7 @@ def test_orbit_matches_exact_evaluation_at_every_point(q, coeffs, start, free,
     if start == "planted":
         raw = q
     elif start == "planted mod P":
-        raw = [a + projgeom.SCREEN_PRIME * t for a, t in zip(q, shift)]
+        raw = [a + WORD_PRIME * t for a, t in zip(q, shift)]
     else:
         raw = free
     assume(any(raw))
