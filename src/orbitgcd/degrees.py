@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import ffield, poly, projgeom
-from .ffield import Terms, Uni
+from .ffield import Uni
 from .projgeom import ProjPoint, RationalMap
 
 # cap on the raw degree deg(f^n) * deg(f) of the next iterate composition
@@ -115,10 +115,6 @@ class FiberCountReport:
     failed_samples: int
     samples: int
 
-    def modes_by_prime(self) -> Dict[int, Optional[int]]:
-        return {p: _histogram_modes(hist)[0][0] if hist else None
-                for p, hist in self.by_prime.items()}
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready form; histograms become sorted [count, frequency] pairs."""
         return {"histogram": [[k, v] for k, v in sorted(self.histogram.items())],
@@ -134,27 +130,29 @@ def _histogram_modes(hist: Dict[int, int]) -> List[Tuple[int, int]]:
     return sorted((k, v) for k, v in hist.items() if v == best)
 
 
-def _chart_terms(fi: Terms, t: int, f_last: Terms, prime: int) -> Terms:
-    """Terms of f_i - t * f_last, the chart equation for target value t,
-    one per exponent; empty when the equation vanishes identically."""
-    acc = {e: c for c, e in fi}
-    for c, e in f_last:
+def _chart_terms(fi: poly.TermMap, t: int, f_last: poly.TermMap,
+                 prime: int) -> poly.TermMap:
+    """Nonzero terms of f_i - t * f_last mod prime, the chart equation for
+    target value t; empty when the equation vanishes identically."""
+    acc = dict(fi)
+    for e, c in f_last.items():
         acc[e] = (acc.get(e, 0) - t * c) % prime
-    return [(c, e) for e, c in acc.items() if c]
+    return {e: c for e, c in acc.items() if c}
 
 
-def _xy_degree(terms: Terms) -> int:
-    return max(e[0] + e[1] for _, e in terms)
+def _xy_degree(terms: poly.TermMap) -> int:
+    return max(e[0] + e[1] for e in terms)
 
 
-def _sheared_forms(comps: Sequence[Terms], shear: Tuple[int, int, int, int],
+def _sheared_forms(comps: Sequence[poly.TermMap],
+                   shear: Tuple[int, int, int, int],
                    prime: int) -> List[List[List[int]]]:
     """Each poly at z=1, sheared x=al*u+be*v, y=ga*u+de*v, as its u^k
     coefficients (k = 0..d), polynomials in v from v^(d-k) down: c*x^e0*y^e1
     gives c * b_k u^k v^(e0+e1-k) for each t^k coefficient b_k of the
     binary form (al*t + be)^e0 * (ga*t + de)^e1."""
     al, be, ga, de = shear
-    d = sum(comps[0][0][1])
+    d = sum(next(iter(comps[0])))
     forms: Dict[Tuple[int, int], List[int]] = {(0, 0): [1]}
     for e in range(1, d + 1):  # times (al*t + be), or (ga*t + de) on x^0
         for e0 in range(e + 1):
@@ -165,7 +163,7 @@ def _sheared_forms(comps: Sequence[Terms], shear: Tuple[int, int, int, int],
     out = []
     for terms in comps:
         coeffs = [[0] * (d - k + 1) for k in range(d + 1)]
-        for c, (e0, e1, _) in terms:
+        for (e0, e1, _), c in terms.items():
             for k, b in enumerate(forms[e0, e1]):
                 coeffs[k][d - e0 - e1] += c * b
         out.append(coeffs)
@@ -186,7 +184,7 @@ def _specialized(forms: Sequence[List[List[int]]], v0: int,
     return out
 
 
-def _eliminant(g1: Terms, g2: Terms, target_ab: Tuple[int, int],
+def _eliminant(g1: poly.TermMap, g2: poly.TermMap, target_ab: Tuple[int, int],
                sheared: Callable[[int], Sequence[Uni]],
                prime: int) -> Optional[Uni]:
     """Res_u of the sheared chart equations, interpolated in v.
@@ -227,18 +225,19 @@ def _strip_shared(r: Uni, other: Uni, prime: int) -> Uni:
     return r
 
 
-def _line_form(terms: Terms, prime: int) -> Uni:
+def _line_form(terms: poly.TermMap, prime: int) -> Uni:
     """Restriction to the line z=0 as a coefficient list indexed by the
     x-exponent (a binary form in x, y of the full degree)."""
-    d = max(sum(e) for _, e in terms)
+    d = max(sum(e) for e in terms)
     out = [0] * (d + 1)
-    for c, (e0, e1, e2) in terms:
+    for (e0, e1, e2), c in terms.items():
         if e2 == 0:
             out[e0] = (out[e0] + c) % prime
     return out
 
 
-def _line_count(g1: Terms, g2: Terms, f2: Terms, prime: int) -> int:
+def _line_count(g1: poly.TermMap, g2: poly.TermMap, f2: poly.TermMap,
+                prime: int) -> int:
     """Distinct fiber points on the line z=0, excluding base points.
 
     g1, g2 are the chart equations f0 - a*f2 and f1 - b*f2 (neither
@@ -260,14 +259,15 @@ def _line_count(g1: Terms, g2: Terms, f2: Terms, prime: int) -> int:
     return cnt
 
 
-def geometric_fiber_count(comps: Sequence[Terms], prime: int,
+def geometric_fiber_count(comps: Sequence[poly.TermMap], prime: int,
                           target_ab: Tuple[int, int], rng: random.Random
                           ) -> Optional[int]:
     """#f^{-1}((a:b:1)) over the algebraic closure of F_p, base points excluded.
 
-    comps are the components of f reduced mod p, none of them zero.  Two
-    successful random shears are required and the larger count wins
-    (a shear can only undercount, when two fiber points collide in v).
+    comps are the components of f reduced mod p, each a nonempty map from
+    exponents to nonzero residues.  Two successful random shears are
+    required and the larger count wins (a shear can only undercount, when
+    two fiber points collide in v).
     Each shear expands the three components once (_sheared_forms) and
     specializes them once per sample v0; its main and auxiliary eliminants
     are all built from that memo (see _eliminant).  A shear that drops a
@@ -343,7 +343,8 @@ def topological_degree_ff(f: RationalMap, primes: Sequence[int],
         if prime in by_prime:
             raise ValueError("prime %d is repeated" % prime)
         ffield.check_prime(prime)
-        comps = [ffield.reduce_poly(c, prime) for c in f.components]
+        comps = [{e: r for e, c in comp.terms.items() if (r := c % prime)}
+                 for comp in f.components]
         if any(not c for c in comps):
             raise ValueError("prime %d wipes out a map component" % prime)
         hist: Counter = Counter()

@@ -1,12 +1,15 @@
-"""Prime-field arithmetic and polynomial evaluation over F_p.
+"""Prime-field arithmetic over F_p.
 
-Supports the fiber-counting estimator: modular reduction and evaluation
-of integer polynomials, and a small univariate toolkit (division, gcd,
-derivative, resultant, interpolation) on coefficient lists stored low
-degree first.  WORD_PRIME = 2^61 - 1 is the prime of the package's mod-p
-screens.  Primes from outside are checked once where they enter, by
-check_prime, not by each function that takes them; the check is
-probabilistic with error below 2^-64, and deterministic below 3.3e24.
+Supports the fiber-counting estimator with a small univariate toolkit
+(division, gcd, derivative, resultant, interpolation) on coefficient
+lists stored low degree first.  WORD_PRIME = 2^61 - 1 is the prime of
+the package's mod-p screens.  Functions here trust their prime; public
+entries check outside primes with check_prime (probabilistic, error below
+2^-64; deterministic below 3.3e24): experiments.build_scenario checks a
+config's primes to name the bad field, degrees.fiber_report the primes
+it is handed before it sorts out unusable ones, and
+degrees.topological_degree_ff each prime it counts over, so a prime of a
+`run` config is checked three times.
 """
 
 from __future__ import annotations
@@ -14,10 +17,7 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from typing import TYPE_CHECKING, List, Sequence, Tuple
-
-if TYPE_CHECKING:
-    from .poly import BigPoly
+from typing import List, Sequence, Tuple
 
 # Miller-Rabin witnesses proving primality for every n < 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -61,28 +61,6 @@ def check_prime(p: int) -> int:
     if not is_probable_prime(p):
         raise ValueError("%d is not prime" % p)
     return p
-
-
-# A polynomial reduced mod p: its nonzero (coeff mod p, exponents) terms,
-# in increasing exponent order.
-Terms = List[Tuple[int, Tuple[int, ...]]]
-
-
-def reduce_poly(poly_: BigPoly, prime: int) -> Terms:
-    return [(c, exps) for exps, coeff in sorted(poly_.terms.items())
-            if (c := coeff % prime)]
-
-
-def eval_terms(terms: Terms, point: Sequence[int], prime: int) -> int:
-    """Value mod prime of the reduced polynomial at an integer point."""
-    acc = 0
-    for coeff, exps in terms:
-        v = coeff
-        for x, e in zip(point, exps):
-            if e:
-                v = v * pow(x, e, prime) % prime
-        acc += v
-    return acc % prime
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ that the components share no polynomial factor; evaluation at a point
 either produces the image point or signals indeterminacy when every
 component vanishes (the set-theoretic base locus of the reduced tuple).
 The last point of an orbit needs no image, only that zero test, so it is
-evaluated mod ffield.WORD_PRIME first: a nonzero residue proves that the
-point is outside the base locus, and only when every residue is 0 are the
-components evaluated exactly.
+evaluated at its coordinates mod ffield.WORD_PRIME first: a value nonzero
+mod that prime proves the point outside the base locus, and only when
+every one is 0 are the components evaluated exactly.
 
 An orbit step divides the values f_i(x) by g = gcd_i f_i(x), the
 generalized gcd of x along the base scheme of f.  For a map of P^2 a
@@ -218,14 +218,14 @@ class OrbitResult:
 def _in_base_locus(f: RationalMap, coords: Coords) -> bool:
     """Whether every component of f vanishes at coords.
 
-    Decided mod P = ffield.WORD_PRIME first; the exact values are computed
-    only when every residue is 0, which a point outside the base locus
-    rarely gives.
+    Decided mod P = ffield.WORD_PRIME first: f_i(coords) = f_i(residues)
+    mod P, so an eval_int at the residues that is nonzero mod P proves
+    coords outside.  The exact values are computed only when every one
+    is 0 mod P, which a point outside the base locus rarely gives.
     """
     P = ffield.WORD_PRIME
     residues = [c % P for c in coords]
-    if any(ffield.eval_terms(ffield.reduce_poly(c, P), residues, P)
-           for c in f.components):
+    if any(poly.eval_int(c, residues) % P for c in f.components):
         return False
     return all(poly.eval_int(c, coords) == 0 for c in f.components)
 

@@ -1,12 +1,14 @@
 """Test-only oracles: a brute-force census of P^2(F_p), the F_p-rational
-fiber count built on it, and a printer for the polynomial grammar of
-orbitgcd.polyparse.  The package itself never calls them."""
+fiber count built on it, the per-prime mode of a fiber-count report, and
+a printer for the polynomial grammar of orbitgcd.polyparse.  The package
+itself never calls them."""
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from orbitgcd import ffield
+from orbitgcd import ffield, poly
+from orbitgcd.degrees import FiberCountReport
 from orbitgcd.poly import BigPoly
 from orbitgcd.projgeom import RationalMap
 
@@ -43,15 +45,21 @@ def rational_fiber_count(f: RationalMap, prime: int,
     for the same target.  Cost is a scan of all p^2 + p + 1 points; use
     small primes.
     """
-    comps = [ffield.reduce_poly(c, prime) for c in f.components]
     want = normalize_proj(target, prime)
     found = 0
     for s in proj_points_fp(2, prime):
-        image = normalize_proj(
-            [ffield.eval_terms(c, s, prime) for c in comps], prime)
+        image = normalize_proj([poly.eval_int(c, s) for c in f.components],
+                               prime)
         if image is not None and image == want:
             found += 1
     return found
+
+
+def modes_by_prime(report: FiberCountReport) -> Dict[int, Optional[int]]:
+    """The most frequent fiber count at each prime of the report, the
+    smallest one on a tie; None at a prime with no count."""
+    return {p: min(hist, key=lambda k: (-hist[k], k)) if hist else None
+            for p, hist in report.by_prime.items()}
 
 
 def format_poly(p: BigPoly) -> str:

@@ -17,6 +17,7 @@ from orbitgcd.experiments import (builtin_scenario, hypothesis_verdict,
                                   render_csv, render_json, run_scenario)
 from orbitgcd.heights import height_ratio_series, subscheme_height, weil_height
 from orbitgcd.projgeom import make_ideal, make_map, make_point, orbit
+from oracles import modes_by_prime
 
 
 def announce(capsys, criterion: int, ok: bool, detail: str) -> None:
@@ -116,7 +117,7 @@ def test_criterion_3_topological_degrees_by_fiber_counting(capsys):
         modes.append(report.mode)
         if report.mode != want:
             failures.append("map %d: mode %r, want %d" % (i, report.mode, want))
-        per_prime = report.modes_by_prime()
+        per_prime = modes_by_prime(report)
         if any(per_prime[p] != want for p in primes):
             failures.append("map %d: unstable across primes %r"
                             % (i, per_prime))

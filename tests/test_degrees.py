@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitgcd import degrees, ffield, polyparse, projgeom
+from orbitgcd import degrees, polyparse, projgeom
 from orbitgcd.degrees import (arithmetic_degree_estimate, d1_estimate,
                               degree_sequence, geometric_fiber_count,
                               hyperbolicity_report, monomial_dyn_degrees,
@@ -18,7 +18,7 @@ from orbitgcd.degrees import (arithmetic_degree_estimate, d1_estimate,
 from orbitgcd.ffield import (is_probable_prime, uni_deg, uni_interpolate,
                              uni_mul, uni_norm, uni_resultant)
 from orbitgcd.projgeom import make_map, make_point
-from oracles import rational_fiber_count
+from oracles import modes_by_prime, rational_fiber_count
 
 
 def pmap(*comps: str, arity: int = 3) -> projgeom.RationalMap:
@@ -26,7 +26,8 @@ def pmap(*comps: str, arity: int = 3) -> projgeom.RationalMap:
 
 
 def reduced(f: projgeom.RationalMap, prime: int):
-    return [ffield.reduce_poly(c, prime) for c in f.components]
+    return [{e: r for e, c in comp.terms.items() if (r := c % prime)}
+            for comp in f.components]
 
 
 BACKNONFIN = ("x0^2*x1", "x1^3", "x2^3")
@@ -115,7 +116,7 @@ def test_fiber_mode_backnonfin_is_six():
     assert not report.ambiguous and not report.degenerate
     assert report.samples == 8 and report.failed_samples == 0
     assert report.histogram == {6: 8}
-    assert report.modes_by_prime() == {1009: 6}
+    assert modes_by_prime(report) == {1009: 6}
 
 
 def test_fiber_mode_coupled_cubic_is_seven():
@@ -143,8 +144,22 @@ def test_fiber_mode_linear_map_is_one():
 def test_fiber_counts_stable_across_primes():
     report = topological_degree_ff(pmap(*BACKNONFIN), [1009, 2003], 5,
                                    rng=random.Random(5))
-    assert report.modes_by_prime() == {1009: 6, 2003: 6}
+    assert modes_by_prime(report) == {1009: 6, 2003: 6}
     assert report.samples == 10
+
+
+def test_coefficients_divisible_by_p_drop_out_of_the_fiber_count():
+    # 1009*x0*x1*x2 vanishes mod 1009 and 1010*x0^2*x1 is x0^2*x1 there,
+    # so the counts, and the draws they take, are those of BACKNONFIN
+    wrapped = pmap("1010*x0^2*x1 + 1009*x0*x1*x2", "x1^3", "x2^3")
+    reports, draws = [], []
+    for f in (wrapped, pmap(*BACKNONFIN)):
+        rng = random.Random(3)
+        reports.append(topological_degree_ff(f, [1009], 6, rng=rng).as_dict())
+        draws.append(rng.randrange(10 ** 9))
+    assert reports[0] == reports[1]
+    assert reports[0]["histogram"] == [[6, 6]]
+    assert draws[0] == draws[1]
 
 
 def test_rational_count_never_exceeds_geometric():
@@ -224,8 +239,8 @@ def _specialized_direct(terms, shear, v0, prime):
     """One chart poly at z=1, sheared x=a*u+b*v, y=g*u+d*v, then v=v0,
     built term by term from repeated products."""
     al, be, ga, de = shear
-    acc = [0] * (1 + max(e0 + e1 for _, (e0, e1, _) in terms))
-    for c, (e0, e1, _) in terms:
+    acc = [0] * (1 + max(e0 + e1 for e0, e1, _ in terms))
+    for (e0, e1, _), c in terms.items():
         mono = [c % prime]
         for _ in range(e0):
             mono = uni_mul(mono, [be * v0 % prime, al], prime)
@@ -253,9 +268,9 @@ def _eliminant_direct(g1, g2, shear, prime):
 
 @st.composite
 def chart_cases(draw):
-    """(prime, components as terms mod p, target, shear) on random quadratic
-    and cubic P^2 maps; ga = 0 is common, so that the shear often drops the
-    u-degree of a chart equation."""
+    """(prime, components as {exponents: residue} maps, target, shear) on
+    random quadratic and cubic P^2 maps; ga = 0 is common, so that the
+    shear often drops the u-degree of a chart equation."""
     prime = draw(st.sampled_from([1009, 2003]))
     deg = draw(st.sampled_from([2, 3]))
     monos = degrees._monomial_exponents(3, deg)
@@ -263,8 +278,8 @@ def chart_cases(draw):
     for _ in range(3):
         support = draw(st.lists(st.sampled_from(monos), min_size=1,
                                 max_size=len(monos), unique=True))
-        comps.append([(draw(st.integers(-3, 3).filter(bool)) % prime, e)
-                      for e in support])
+        comps.append({e: draw(st.integers(-3, 3).filter(bool)) % prime
+                      for e in support})
     target = (draw(st.integers(0, prime - 1)), draw(st.integers(0, prime - 1)))
     ga = draw(st.one_of(st.just(0), st.integers(0, prime - 1)))
     shear = (draw(st.integers(1, prime - 1)), draw(st.integers(0, prime - 1)),
@@ -272,9 +287,9 @@ def chart_cases(draw):
     return prime, comps, target, shear
 
 
-_POWER_MAP = [[(1, (2, 0, 0))], [(1, (0, 2, 0))], [(1, (0, 0, 2))]]
+_POWER_MAP = [{(2, 0, 0): 1}, {(0, 2, 0): 1}, {(0, 0, 2): 1}]
 # x0*x1, x0*x2, x0^2: for every target both chart equations share x0
-_SHARED_FACTOR_MAP = [[(1, (1, 1, 0))], [(1, (1, 0, 1))], [(1, (2, 0, 0))]]
+_SHARED_FACTOR_MAP = [{(1, 1, 0): 1}, {(1, 0, 1): 1}, {(2, 0, 0): 1}]
 
 
 @settings(max_examples=80, deadline=None)
@@ -296,14 +311,14 @@ def test_eliminant_from_shared_specialization_matches_direct(case):
 
 @st.composite
 def sparse_maps(draw):
-    """(prime, components as terms mod p, shear) for P^2 maps of degree
-    1-4 whose components each miss some monomials."""
+    """(prime, components as {exponents: residue} maps, shear) for P^2 maps
+    of degree 1-4 whose components each miss some monomials."""
     prime = draw(st.sampled_from([53, 1009]))
     deg = draw(st.integers(1, 4))
     monos = degrees._monomial_exponents(3, deg)
-    comps = [[(draw(st.integers(1, prime - 1)), e) for e in sorted(draw(
+    comps = [{e: draw(st.integers(1, prime - 1)) for e in sorted(draw(
         st.lists(st.sampled_from(monos), min_size=1,
-                 max_size=max(1, len(monos) - 1), unique=True)))]
+                 max_size=max(1, len(monos) - 1), unique=True)))}
         for _ in range(3)]
     shear = (draw(st.integers(1, prime - 1)), draw(st.integers(0, prime - 1)),
              draw(st.sampled_from([0, 1, prime - 1]) | st.integers(0, prime - 1)),
@@ -315,7 +330,7 @@ def sparse_maps(draw):
 @given(case=sparse_maps(), v0=st.integers(0, 20))
 def test_sheared_forms_match_direct_specialization(case, v0):
     prime, comps, shear = case
-    d = sum(comps[0][0][1])
+    d = sum(next(iter(comps[0])))
     got = degrees._specialized(degrees._sheared_forms(comps, shear, prime),
                                v0, prime)
     for terms, row in zip(comps, got):

@@ -1,4 +1,4 @@
-"""Prime-field reductions and the univariate polynomial kernels."""
+"""Primality, the F_p census oracles and the univariate polynomial kernels."""
 
 import ast
 import random
@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitgcd import ffield, poly, polyparse
-from orbitgcd.ffield import (check_prime, distinct_root_count, eval_terms,
-                             is_probable_prime, reduce_poly, uni_deg,
-                             uni_divmod, uni_gcd, uni_interpolate, uni_mul,
-                             uni_norm, uni_resultant)
+from orbitgcd import ffield
+from orbitgcd.ffield import (check_prime, distinct_root_count,
+                             is_probable_prime, uni_deg, uni_divmod, uni_gcd,
+                             uni_interpolate, uni_mul, uni_norm, uni_resultant)
 from oracles import normalize_proj, proj_points_fp
 
 
@@ -62,18 +61,6 @@ def test_normalize_scaling_invariance():
         scaled = tuple(c * lam % p for c in pt)
         assert normalize_proj(pt, p) == normalize_proj(scaled, p)
     assert normalize_proj((0, 0, 0), 61) is None
-
-
-def test_reduce_poly_wraps_coefficients():
-    p = 97
-    f = polyparse.parse("100*x0^2 - 3*x0*x1 + 97*x1^2", 2)
-    reduced = reduce_poly(f, p)
-    assert reduced == [(94, (1, 1)), (3, (2, 0))]
-    # evaluation agrees with the exact polynomial mod p
-    rng = random.Random(9)
-    for _ in range(50):
-        pt = [rng.randint(0, p - 1) for _ in range(2)]
-        assert eval_terms(reduced, pt, p) == poly.eval_int(f, pt) % p
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +257,15 @@ def test_uni_interpolate_rejects_repeated_nodes():
 
 
 def test_ffield_imports_no_package_module_at_run_time():
-    # poly imports ffield at module level, so ffield may name BigPoly only
-    # for type checking; a run-time import of the package would be a cycle
+    # poly imports ffield at module level, and ffield is the prime field
+    # alone: it imports no package module, not even for type checking
     source = Path(ffield.__file__).read_text(encoding="utf-8")
     found = []
-
-    def visit(node):
-        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
-                and node.test.id == "TYPE_CHECKING"):
-            return
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             found.append("." * node.level + (node.module or ""))
         elif isinstance(node, ast.Import):
             found.extend(alias.name for alias in node.names)
-        for child in ast.iter_child_nodes(node):
-            visit(child)
-
-    visit(ast.parse(source))
     assert found  # the walk saw the module's own imports
     assert not [m for m in found
                 if m.startswith(".") or m.split(".")[0] == "orbitgcd"]

@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitgcd import elimination, polyparse, projgeom
@@ -171,18 +171,48 @@ def test_orbit_last_point_with_all_residues_zero_is_emitted():
 
 def test_orbit_evaluates_the_last_point_exactly_only_when_residues_vanish(
         monkeypatch):
+    # eval_int sees the exact coordinates of every point with an image,
+    # then the residues mod P of the last point; its exact coordinates
+    # only when every component is 0 at those residues
     evaluated = []
     eval_int = projgeom.poly.eval_int
-    monkeypatch.setattr(projgeom.poly, "eval_int",
-                        lambda p, pt: evaluated.append(pt) or eval_int(p, pt))
+    monkeypatch.setattr(projgeom.poly, "eval_int", lambda p, pt: (
+        evaluated.append(tuple(pt)) or eval_int(p, pt)))
+    P = WORD_PRIME
     f = pmap("x0^2*x1", "x1^3", "x2^3")
     res = orbit(f, make_point((3, 2, 1)), 6)
     assert len(res.points) == 7
-    assert evaluated == [pt.coords for pt in res.points[:-1] for _ in range(3)]
+    last = res.points[-1].coords
+    residues = tuple(c % P for c in last)
+    assert residues != last  # the last point is larger than P
+    steps = [pt.coords for pt in res.points[:-1] for _ in range(3)]
+    assert evaluated[:len(steps)] == steps
+    assert evaluated[len(steps):] == [residues]  # f_0 is nonzero mod P
     evaluated.clear()
-    P = WORD_PRIME
     orbit(pmap("x0*x2", "x1*x2", "x0*x1"), make_point((P, 2 * P, 1)), 0)
-    assert evaluated == [(P, 2 * P, 1)]
+    assert evaluated == [(0, 0, 1)] * 3 + [(P, 2 * P, 1)]
+
+
+_RESIDUE_MAPS = [("x1^2", "x0*x2", "x0*x1"), ("x0*x2", "x1*x2", "x0*x1"),
+                 ("x0^2*x1 - 3*x2^3", "x1^3 + 5*x0*x1*x2", "x2^3")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(comps=st.sampled_from(_RESIDUE_MAPS),
+       coords=st.lists(st.integers(-2, 2)
+                       | st.integers(-3, 3).map(lambda k: k * WORD_PRIME)
+                       | st.integers(-2 ** 80, 2 ** 80),
+                       min_size=3, max_size=3))
+@example(comps=_RESIDUE_MAPS[0], coords=[1, 0, 0])  # a base point
+@example(comps=_RESIDUE_MAPS[1], coords=[WORD_PRIME, 2 * WORD_PRIME, 1])
+def test_last_point_residue_test_agrees_with_exact_evaluation(comps, coords):
+    f = pmap(*comps)
+    exact = [eval_int(c, coords) for c in f.components]
+    residues = [x % WORD_PRIME for x in coords]
+    assert [eval_int(c, residues) % WORD_PRIME for c in f.components] \
+        == [v % WORD_PRIME for v in exact]
+    assert projgeom._in_base_locus(f, tuple(coords)) \
+        == all(v == 0 for v in exact)
 
 
 def _reference_orbit(f, x0, n_max):
