@@ -1,20 +1,20 @@
 """Fraction-free elimination over Z[x]: resultants and the divisor
-certificate of a map of P^2.
+certificate of forms in three variables.
 
-projgeom imports this module at the first orbit step large enough for the
-certificate, so starting the command line does not load it.  The
-certificate itself is described in the projgeom module docstring.
+projgeom and heights import this module at the first orbit point large
+enough for a certificate, so starting the command line does not load it.
+The certificate itself is described in the projgeom module docstring.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import poly
 from .poly import BigPoly
-from .projgeom import Coords, RationalMap
+from .projgeom import Coords
 
 # (c, S) pairs: every prime of g = gcd_i f_i(x) divides c * S(x)
 Certificate = Tuple[Tuple[int, BigPoly], ...]
@@ -101,13 +101,14 @@ def _squarefree_part(p: BigPoly) -> BigPoly:
     return poly.primitive_part(q)
 
 
-def divisor_certificate(f: RationalMap) -> Certificate:
-    """The (c, S) pairs of f's resultants with deg S < deg f, smallest
-    degree first, one per S with the gcd of its contents; empty for a map
-    that is not of P^2."""
-    if f.arity != 3:
+def divisor_certificate(forms: Sequence[BigPoly]) -> Certificate:
+    """The (c, S) pairs of the resultants of forms of one common degree d
+    with deg S < d, smallest degree first, one per S with the gcd of its
+    contents; empty for forms that are not in three variables."""
+    comps = [c for c in forms if c.terms]
+    if not comps or comps[0].arity != 3:
         return ()
-    comps = [c for c in f.components if c.terms]
+    degree = poly.degree(comps[0])
     found: Dict[BigPoly, int] = {}
     for k in range(3):
         for fi, fj in itertools.combinations(comps, 2):
@@ -117,7 +118,7 @@ def divisor_certificate(f: RationalMap) -> Certificate:
             if not r.terms:
                 continue
             s = _squarefree_part(poly.primitive_part(r))
-            if poly.degree(s) < f.degree:
+            if poly.degree(s) < degree:
                 found[s] = math.gcd(found.get(s, 0), poly.content(r))
     return tuple(sorted(((c, s) for s, c in found.items()),
                         key=lambda cs: poly.degree(cs[1])))

@@ -18,12 +18,19 @@ All number-theoretic content (gcds, maxima, the argmin over j) is decided
 in exact integer arithmetic; floating point enters only at the final log.
 Python's math.log accepts arbitrarily large ints directly (it works from
 the exponent and top bits), so no manual bit-length splitting is needed.
+
+Along an orbit x_n = f(x_{n-1}) / c, every prime of gcd_j g_j(x_n) makes
+x_{n-1} a common zero mod p of the forms g_j o f, so it divides the
+support at x_{n-1} of their divisor certificate (projgeom).  A support of
+1 proves the gcd is 1 without the full-size gcd.  height_ratio_series
+uses it for maps of P^2 and linear generators, from
+projgeom.CERTIFICATE_MIN_BITS on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, NamedTuple, Optional, Tuple
 
 from . import poly, projgeom
@@ -62,7 +69,7 @@ def subscheme_height(Y: SubschemeIdeal, x: ProjPoint) -> HeightValue:
     never by comparing floats: |v_k| / ||a||^{d_k} against |v_j| / ||a||^{d_j}
     with both sides multiplied by ||a||^{max(d_j, d_k)}, so generators of
     equal degree compare their values alone.  On a tie the earlier
-    generator wins.
+    generator wins.  A support of 1 on Y proves the gcd is 1.
     """
     if Y.arity != x.arity:
         raise ValueError("ideal arity %d vs point arity %d"
@@ -82,7 +89,7 @@ def subscheme_height(Y: SubschemeIdeal, x: ProjPoint) -> HeightValue:
         m = min(d, best_d)
         if v * sup ** (best_d - m) > best_v * sup ** (d - m):
             best_v, best_d = v, d
-    g = math.gcd(*(v for v, _ in values))
+    g = 1 if Y.support == 1 else math.gcd(*(v for v, _ in values))
     arch = best_d * math.log(sup) - math.log(best_v)
     gcd_part = math.log(g)
     return HeightValue(arch + gcd_part, arch, gcd_part, False,
@@ -169,14 +176,24 @@ def height_ratio_series(f: RationalMap, Y: SubschemeIdeal, x0: ProjPoint,
     """One HeightRow per point of the orbit of x0; the truncation and
     periodicity flags stay on the orbit."""
     orb = projgeom.orbit(f, x0, n_max)
+    pull_back = f.arity == 3 and all(poly.degree(g) == 1 for g in Y.generators)
+    cert = None  # of the forms g_j o f, built at the first large point
     rows: List[HeightRow] = []
     for n, pt in enumerate(orb.points):
         h = weil_height(pt)
-        hy = subscheme_height(Y, pt)
+        bits = max(c.bit_length() for c in pt.coords)
+        Y_n = Y
+        if pull_back and n and bits >= projgeom.CERTIFICATE_MIN_BITS:
+            from . import elimination  # deferred, as in projgeom.orbit
+            if cert is None:
+                cert = elimination.divisor_certificate(
+                    [poly.compose(g, f.components) for g in Y.generators])
+            Y_n = replace(Y, support=elimination.certified_support(
+                cert, orb.points[n - 1].coords))
+        hy = subscheme_height(Y_n, pt)
         ratio: Optional[float] = None
         if h > 0.0 and not hy.infinite:
             assert hy.total is not None
             ratio = hy.total / h
-        bits = max(c.bit_length() for c in pt.coords)
         rows.append(HeightRow(n, bits, h, hy, ratio))
     return HeightSeries(rows, orb)

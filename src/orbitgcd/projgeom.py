@@ -29,7 +29,8 @@ step's smallest nonzero value reaches CERTIFICATE_MIN_BITS, where the
 full gcd starts to cost more than the build.  Below that size, for other
 arities, for maps with no kept form, and where every kept c * S(x) is 0,
 the smallest nonzero |value| stands in for G (make_point's default
-support); either way the point is the same.
+support); either way the point is the same.  heights builds the same
+certificate for the generators of Y composed with f.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ Coords = Tuple[int, ...]
 # value has this many bits: make_point's first full gcd runs at that
 # size, and math.gcd of two such numbers takes about as long (2.4 ms on a
 # 2-core Xeon) as building the certificate of a sparse cubic map.
+# heights.height_ratio_series certifies a row whose point has this many.
 CERTIFICATE_MIN_BITS = 1 << 15
 
 
@@ -109,8 +111,14 @@ class RationalMap:
 
 @dataclass(frozen=True)
 class SubschemeIdeal:
-    """Homogeneous generators of the ideal cutting out the target Y."""
+    """Homogeneous generators of the ideal cutting out the target Y.
+
+    A nonzero support is divisible by every prime of gcd_j g_j(x) at the
+    one point x that this copy of the ideal is measured at
+    (heights.height_ratio_series sets it per row).
+    """
     generators: Tuple[BigPoly, ...]
+    support: int = field(default=0, compare=False)
 
     @property
     def arity(self) -> int:
@@ -267,7 +275,7 @@ def orbit(f: RationalMap, x0: ProjPoint, n_max: int) -> OrbitResult:
         if min(v.bit_length() for v in values if v) >= CERTIFICATE_MIN_BITS:
             from . import elimination  # deferred: most orbits never need it
             if cert is None:
-                cert = elimination.divisor_certificate(f)
+                cert = elimination.divisor_certificate(f.components)
             support = elimination.certified_support(cert, key)
         current = make_point(values, support)
     return result

@@ -556,6 +556,28 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.returncode == 0
 
 
+def test_small_runs_leave_elimination_unloaded(tmp_path):
+    # the certificates pay for themselves only from CERTIFICATE_MIN_BITS
+    # on; bcz, diag and a small random config stay far below it
+    config = write_config(tmp_path, data={
+        "arity": 3, "map": "x0^2 - 2*x1*x2; 3*x0*x1 + x2^2; x1^2 - x0*x2",
+        "ideal": ["x0 - x2", "x1 - x2"], "start": [2, 5, 7], "n_max": 6,
+        "primes": [1009], "targets_per_prime": 6, "composition_cap": 4})
+    src = os.path.dirname(os.path.dirname(orbitgcd.__file__))
+    code = ("import contextlib, io, sys\n"
+            "from orbitgcd.cli import main\n"
+            "runs = [['--scenario', 'bcz'],\n"
+            "        ['--scenario', 'diag', '--a', '5', '--b', '7'],\n"
+            "        ['--config', sys.argv[1]]]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['run'] + argv) for argv in runs]\n"
+            "sys.exit(codes != [0, 0, 0]\n"
+            "         or 'orbitgcd.elimination' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, config], timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run([sys.executable, "-m", "orbitgcd", "--version"],
                           capture_output=True, text=True, timeout=120)

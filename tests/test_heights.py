@@ -1,14 +1,15 @@
 """Weil and subscheme heights, closed forms, ratio series."""
 
+import dataclasses
 import itertools
 import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
-from orbitgcd import heights, poly, polyparse, projgeom
+from orbitgcd import elimination, heights, poly, polyparse, projgeom
 from orbitgcd.heights import (bcz_closed_form, bcz_exact_parts,
                               height_ratio_series, multiplicatively_dependent,
                               subscheme_height, weil_height)
@@ -321,3 +322,212 @@ def test_backnonfin_ratio_closed_form_small_n():
         num = (3 ** n - 2 ** n) * math.log(2)
         den = 2 ** n * math.log(3) + (3 ** n - 2 ** n) * math.log(2)
         assert row.ratio == pytest.approx(num / den, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the height gcd certified from the previous orbit point
+
+A2 = ("x0^2*x1", "x1^3 + x0^2*x1 + x0*x2^2", "x2^3")
+BACKNONFIN = ("x0^2*x1", "x1^3", "x2^3")
+
+
+def _pulled_back_certificate(f, Y):
+    return elimination.divisor_certificate(
+        [poly.compose(g, f.components) for g in Y.generators])
+
+
+def _series_with_supports(f, Y, x0, n_max):
+    """height_ratio_series with every subscheme_height call recorded as
+    (support, point), the way the benchmark's check pass wraps it."""
+    calls = []
+
+    def spy(Y_n, x):
+        calls.append((Y_n.support, x))
+        return subscheme_height(Y_n, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heights, "subscheme_height", spy)
+        series = height_ratio_series(f, Y, x0, n_max)
+    assert [x for _, x in calls] == series.orbit.points
+    return series, [support for support, _ in calls]
+
+
+_GENERATORS = {2: ("x0", "x1", "x0 - x1", "x0*x1"),
+               3: ("x0", "x1", "x2", "x0 + x2", "x1 - x2", "x0*x2")}
+
+
+@st.composite
+def _planted_orbits(draw):
+    """(f, Y, x0, n_max) built as in the orbit test
+    test_certified_orbit_matches_the_gcd_fold.
+
+    In P^2, f_2 = c*l^d with the line l = beta*x1 - alpha*x2 free of x0,
+    and f_0, f_1 vanish at P = (a : alpha : beta) on l, so f(P) lies on
+    the generators x0, x2 and x0 + x2.  When Y has x2 or x0 + x2, its
+    pulled-back forms have the factor l^d and l is a certificate form.
+    The start is congruent to P mod m, so m tends to divide the gcd of
+    the next row, or in P^2 it is a common zero of the certificate lines.
+    In P^1 only f_0 is planted.
+    """
+    arity = draw(st.sampled_from([2, 3, 3, 3]))
+    d = draw(st.integers(1, 3))
+    P = (draw(st.integers(1, 4)),) + tuple(draw(st.lists(
+        st.integers(-4, 4).filter(bool), min_size=arity - 1,
+        max_size=arity - 1)))
+    monos = [e for e in itertools.product(range(d + 1), repeat=arity)
+             if sum(e) == d]
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(monos),
+                      max_size=len(monos))
+    top = (d,) + (0,) * (arity - 1)
+
+    def form(terms):
+        return poly.BigPoly(arity, {e: c for e, c in terms.items() if c})
+
+    comps = []
+    for _ in range(2):
+        g = form(dict(zip(monos, draw(coeffs))))
+        terms = {e: P[0] ** d * c for e, c in g.terms.items()}
+        terms[top] = terms.get(top, 0) - poly.eval_int(g, P)
+        comps.append(form(terms))
+    v = 0
+    if arity == 3:
+        lines = [{(0, 1, 0): P[2], (0, 0, 1): -P[1]}]
+        if draw(st.booleans()):
+            # f_1 = c'*l'^d with l' = x0 + v*x1: for Y with x1 and x2 the
+            # certificate has l, l' and a third line, whose values at a
+            # point rarely share a prime
+            v = draw(st.integers(-3, 3))
+            lines.append({(1, 0, 0): 1, (0, 1, 0): v})
+            comps.pop()
+        for terms in lines:
+            power = poly.const(3, draw(st.sampled_from([1, 1, 2, 6])))
+            for _ in range(d):
+                power = power * form(terms)
+            comps.append(power)
+    else:
+        comps[1] = form(dict(zip(monos, draw(coeffs))))
+    assume(any(c.terms for c in comps))
+    f = make_map(comps)
+    Y = ideal(*draw(st.lists(st.sampled_from(_GENERATORS[arity]),
+                             min_size=arity - 1, max_size=3, unique=True)),
+              arity=arity)
+    if arity == 3 and draw(st.booleans()):
+        # the common zero of l and l' (of l alone when l' is x0), where
+        # every certificate line vanishes
+        raw = [-v * P[1], P[1], P[2]]
+    else:
+        m = math.prod(draw(st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1,
+                                    max_size=3)))
+        shift = draw(st.lists(st.integers(-3, 3), min_size=arity,
+                              max_size=arity))
+        raw = [p + m * t for p, t in zip(P, shift)]
+        assume(any(raw))
+    return f, Y, make_point(raw), draw(st.integers(1, 4))
+
+
+def _check_against_plain_gcd(f, Y, x0, n_max):
+    """Every row of the certified series equals subscheme_height with no
+    support, every prime of each gcd divides its row's support, and the
+    outcomes the supports reached are returned by name."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projgeom, "CERTIFICATE_MIN_BITS", 0)
+        series, supports = _series_with_supports(f, Y, x0, n_max)
+    points = series.orbit.points
+    assert [row.height for row in series.rows] == [
+        subscheme_height(Y, pt) for pt in points]
+    if f.arity == 2:
+        assert not any(supports)
+        return {"arity 2"}
+    linear = all(poly.degree(g) == 1 for g in Y.generators)
+    cert = _pulled_back_certificate(f, Y) if linear else ()
+    outcomes = set()
+    for n, (row, support) in enumerate(zip(series.rows, supports)):
+        if not (n and cert):
+            assert support == 0
+            continue
+        if support == 0:
+            assert all(c * poly.eval_int(s, points[n - 1].coords) == 0
+                       for c, s in cert)
+            outcomes.add("support 0")
+            continue
+        outcomes.add("support 1" if support == 1 else "support > 1")
+        g = row.height.gcd_value or 1  # None on Y
+        while math.gcd(g, support) > 1:
+            g //= math.gcd(g, support)
+        assert g == 1
+    return outcomes
+
+
+@settings(max_examples=80, deadline=None)
+@given(_planted_orbits())
+def test_certified_height_gcd_matches_the_plain_gcd(case):
+    _check_against_plain_gcd(*case)
+
+
+@pytest.mark.parametrize("outcome",
+                         ["support 1", "support > 1", "support 0", "arity 2"])
+def test_planted_orbits_reach_every_support_outcome(outcome):
+    find(_planted_orbits(),
+         lambda case: outcome in _check_against_plain_gcd(*case),
+         settings=settings(database=None, max_examples=1000, deadline=None,
+                           phases=[Phase.generate]))
+
+
+def test_pulled_back_certificates_of_the_built_in_maps():
+    x1, x0x2, x0x1 = (polyparse.parse(t, 3)
+                      for t in ("x1", "x0*x2", "x0*x1"))
+    assert _pulled_back_certificate(pmap(*A2), COORD_AXES) == (
+        (1, x1), (1, x0x2), (1, x0x1))
+    assert _pulled_back_certificate(pmap(*BACKNONFIN),
+                                    COORD_AXES) == ((1, x1),)
+
+
+@pytest.mark.parametrize("comps, start, n_max, unit", [
+    (A2, (4253, 4133, 4327), 9, True),
+    (A2, (2, 3, 1), 10, True),
+    (BACKNONFIN, (32941, 33037, 33629), 9, False),
+])
+def test_support_along_deep_orbits(comps, start, n_max, unit):
+    # a start of the benchmark's deep orbits and the built-in a2 start;
+    # from CERTIFICATE_MIN_BITS on a2's support proves every gcd 1, while
+    # backnonfin's single form x1 never does (its gcd is nearly all of the
+    # values)
+    series, supports = _series_with_supports(
+        pmap(*comps), COORD_AXES, make_point(start), n_max)
+    assert [row.height for row in series.rows] == [
+        subscheme_height(COORD_AXES, pt) for pt in series.orbit.points]
+    certified = [s for row, s in zip(series.rows, supports)
+                 if row.n and row.bits >= projgeom.CERTIFICATE_MIN_BITS]
+    assert len(certified) >= 2 and all(certified)
+    assert [s == 1 for s in certified] == [unit] * len(certified)
+    assert not any(s for row, s in zip(series.rows, supports)
+                   if row.bits < projgeom.CERTIFICATE_MIN_BITS)
+
+
+def test_support_is_not_part_of_the_ideal_value():
+    Y = ideal("x0", "x1 - x2")
+    assert Y == dataclasses.replace(Y, support=1)
+    assert hash(Y) == hash(dataclasses.replace(Y, support=1))
+    assert Y.support == 0
+
+
+def test_nonlinear_ideal_never_builds_the_height_certificate():
+    # the built-in a2 start keeps x2 = 1, so the orbit never builds its own
+    # certificate, while its rows pass CERTIFICATE_MIN_BITS from n = 9 on
+    f = pmap(*A2)
+    built = []
+    original = elimination.divisor_certificate
+
+    def spy(forms):
+        built.append(tuple(forms))
+        return original(forms)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elimination, "divisor_certificate", spy)
+        series = height_ratio_series(f, ideal("x0^2", "x1*x2"),
+                                     make_point((2, 3, 1)), 10)
+        assert series.rows[-1].bits >= projgeom.CERTIFICATE_MIN_BITS
+        assert built == []
+        height_ratio_series(f, COORD_AXES, make_point((2, 3, 1)), 10)
+    assert built == [tuple(poly.compose(g, f.components)
+                           for g in COORD_AXES.generators)]

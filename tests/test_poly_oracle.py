@@ -429,5 +429,5 @@ def test_divisor_certificate_matches_sympy(map_text):
                 key = tuple(sorted(_normalised_terms(square_free).items()))
                 want[key] = math.gcd(want.get(key, 0), abs(int(content)))
     got = {tuple(sorted(s.terms.items())): c
-           for c, s in elimination.divisor_certificate(f)}
+           for c, s in elimination.divisor_certificate(f.components)}
     assert got == want
