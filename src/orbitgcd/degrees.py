@@ -225,17 +225,6 @@ def _strip_shared(r: Uni, other: Uni, prime: int) -> Uni:
     return r
 
 
-def _line_form(terms: poly.TermMap, prime: int) -> Uni:
-    """Restriction to the line z=0 as a coefficient list indexed by the
-    x-exponent (a binary form in x, y of the full degree)."""
-    d = max(sum(e) for e in terms)
-    out = [0] * (d + 1)
-    for (e0, e1, e2), c in terms.items():
-        if e2 == 0:
-            out[e0] = (out[e0] + c) % prime
-    return out
-
-
 def _line_count(g1: poly.TermMap, g2: poly.TermMap, f2: poly.TermMap,
                 prime: int) -> int:
     """Distinct fiber points on the line z=0, excluding base points.
@@ -245,16 +234,15 @@ def _line_count(g1: poly.TermMap, g2: poly.TermMap, f2: poly.TermMap,
     roots where f2 also vanishes are base points of the map and are not
     fiber points.
     """
-    g1_raw, g2_raw, phi_raw = (_line_form(t, prime) for t in (g1, g2, f2))
-    d = len(g1_raw) - 1
-    l1, l2, phi = (ffield.uni_norm(list(u)) for u in (g1_raw, g2_raw, phi_raw))
+    l1, l2, phi = (ffield.term_image(t, (0, 1, 0), 0, prime)
+                   for t in (g1, g2, f2))
     h = ffield.uni_gcd(l1, l2, prime)  # gcd(0, g) = g, so zeros are safe
     if not h:
         return 0  # both forms vanish on the whole line; degenerate, skip
     base = ffield.uni_gcd(h, phi, prime)
     cnt = ffield.distinct_root_count(h, prime) - ffield.distinct_root_count(base, prime)
     # the point (1:0:0) corresponds to the top coefficient vanishing
-    if g1_raw[d] == 0 and g2_raw[d] == 0 and phi_raw[d] != 0:
+    if max(len(l1), len(l2)) <= sum(next(iter(f2))) < len(phi):
         cnt += 1
     return cnt
 

@@ -1,5 +1,5 @@
-"""Fraction-free elimination over Z[x]: resultants and the divisor
-certificate of forms in three variables.
+"""Resultants of forms in three variables from their images mod word
+primes, and the divisor certificate built from them.
 
 projgeom and heights import this module at the first orbit point large
 enough for a certificate, so starting the command line does not load it.
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from . import poly
+from . import ffield, poly
 from .poly import BigPoly
 from .projgeom import Coords
 
@@ -20,81 +20,68 @@ from .projgeom import Coords
 Certificate = Tuple[Tuple[int, BigPoly], ...]
 
 
-def bareiss_det(matrix: List[List[BigPoly]]) -> BigPoly:
-    """Determinant of a non-empty square matrix over Z[x] by fraction-free
-    (Bareiss) elimination; every division is exact and checked."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    sign = 1
-    prev = poly.const(m[0][0].arity, 1)
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return m[k][k]  # zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                q = poly.div_exact(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-                if q is None:
-                    raise AssertionError(
-                        "Bareiss step not divisible by the previous pivot")
-                m[i][j] = q
-        prev = m[k][k]
-    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
-
-
 def resultant(p: BigPoly, q: BigPoly, var: int) -> BigPoly:
-    """Res_{x_var}(p, q): the Sylvester determinant of p and q viewed as
-    polynomials in x_var, of degrees deg_var p and deg_var q.
+    """Res_{x_var}(p, q) of nonzero forms in three variables, the Sylvester
+    determinant in x_var of degrees dp and dq: a binary form R of degree
+    D = deg p * dq + deg q * dp - dp * dq in x_i, x_j (i < j), equal to
+    A*p + B*q with A, B in Z[x] unless neither involves x_var (R = 1).
 
-    There are A, B in Z[x] with Res = A*p + B*q, except when neither
-    operand involves x_var: the matrix is then empty and the result is the
-    constant 1.  Raises ValueError for a zero operand.
+    Mod a prime, at x_i = s, x_j = 1 where neither leading coefficient in
+    x_var vanishes, the matrix keeps its shape, so R(s, 1) is the resultant
+    of the images; D + 1 such s interpolate R(t, 1), whose t^a coefficient
+    is that of x_i^a x_j^(D-a).  A leading coefficient has at most
+    deg p - dp (deg q - dq) roots s, or is 0 and the prime is skipped.
+    CRT lifts R from the primes ffield.word_prime(0), (1), ... once their
+    product exceeds 2 |p|^dq |q|^dp, |.| the sum of absolute coefficients,
+    as |R| <= |p|^dq |q|^dp: each term of the determinant's expansion has
+    |.| at most the product of its entries' |.|, and these sum to at most
+    the product of the rows' sums, |p| for each of the dq rows of p and
+    |q| for each of the dp rows of q.
     """
-    poly._check_arity(p, q)
-    if not p.terms or not q.terms:
-        raise ValueError("resultant of a zero polynomial")
-    up, uq = poly._as_univariate(p, var), poly._as_univariate(q, var)
-    dp, dq = max(up), max(uq)
-    size = dp + dq
-    if size == 0:
-        return poly.const(p.arity, 1)
-    zero_entry = poly.zero(p.arity)
-    rows = []
-    for u, du, count in ((up, dp, dq), (uq, dq, dp)):
-        for i in range(count):
-            row = [zero_entry] * size
-            for e, c in u.items():
-                row[i + du - e] = c
-            rows.append(row)
-    return bareiss_det(rows)
-
-
-def _derivative(p: BigPoly, var: int) -> BigPoly:
-    terms: poly.TermMap = {}
-    for exps, coeff in p.terms.items():
-        e = exps[var]
-        if e:
-            terms[exps[:var] + (e - 1,) + exps[var + 1:]] = coeff * e
-    return BigPoly(p.arity, terms)
+    if {p.arity, q.arity} != {3} or not all(
+            f.terms and poly.is_homogeneous(f)[0] for f in (p, q)):
+        raise ValueError("resultant of two nonzero forms in three variables")
+    i = 1 if var == 0 else 0
+    (m, dp), (n, dq) = ((poly.degree(f), max(e[var] for e in f.terms))
+                        for f in (p, q))
+    top = m * dq + n * dp - dp * dq
+    bound = (2 * sum(map(abs, p.terms.values())) ** dq
+             * sum(map(abs, q.terms.values())) ** dp)
+    images, primes, point = [], [], [1, 1, 1]
+    for prime in map(ffield.word_prime, itertools.count()):
+        if math.prod(primes) > bound:
+            break
+        xs, ys = [], []
+        for s in range(top + 1 + m - dp + n - dq):
+            point[i] = s
+            up = ffield.term_image(p.terms, point, var, prime)
+            uq = ffield.term_image(q.terms, point, var, prime)
+            if len(up) == dp + 1 and len(uq) == dq + 1:
+                xs.append(s)
+                ys.append(ffield.uni_resultant(up, uq, prime))
+                if len(xs) > top:
+                    break
+        else:
+            continue  # a leading coefficient vanishes mod the prime
+        r = ffield.uni_interpolate(xs, ys, prime)
+        images.append(r + [0] * (top + 1 - len(r)))
+        primes.append(prime)
+    return BigPoly(3, {(a, top - a)[:var] + (0,) + (a, top - a)[var:]: c
+                       for a, c in enumerate(ffield.crt_lift(images, primes))})
 
 
 def _squarefree_part(p: BigPoly) -> BigPoly:
-    """Primitive squarefree part of a nonzero primitive form.
+    """Primitive squarefree part of a nonconstant primitive form.
 
     By Euler's relation deg(p) * p is a combination of the partial
     derivatives, so their primitive gcd divides p, and over Q it is the
     product of p's repeated factors with multiplicity reduced by one.
     """
     g = poly.zero(p.arity)
-    for v in range(p.arity):
-        g = poly.gcd_multivar(g, _derivative(p, v))
-    if not g.terms:
-        return poly.const(p.arity, 1)
+    for v in range(p.arity):  # with the partial derivative in x_v
+        g = poly.gcd_multivar(g, BigPoly(p.arity, {
+            e[:v] + (e[v] - 1,) + e[v + 1:]: c * e[v]
+            for e, c in p.terms.items() if e[v]}))
     q = poly.div_exact(p, g)
     if q is None:
         raise AssertionError("form not divisible by the gcd of its derivatives")
@@ -112,11 +99,9 @@ def divisor_certificate(forms: Sequence[BigPoly]) -> Certificate:
     found: Dict[BigPoly, int] = {}
     for k in range(3):
         for fi, fj in itertools.combinations(comps, 2):
-            if not any(e[k] for c in (fi, fj) for e in c.terms):
-                continue
             r = resultant(fi, fj, k)
-            if not r.terms:
-                continue
+            if not poly.degree(r):
+                continue  # 0 for a shared factor, 1 for no x_k: no bound
             s = _squarefree_part(poly.primitive_part(r))
             if poly.degree(s) < degree:
                 found[s] = math.gcd(found.get(s, 0), poly.content(r))

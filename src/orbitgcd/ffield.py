@@ -1,15 +1,17 @@
 """Prime-field arithmetic over F_p.
 
-Supports the fiber-counting estimator with a small univariate toolkit
-(division, gcd, derivative, resultant, interpolation) on coefficient
-lists stored low degree first.  WORD_PRIME = 2^61 - 1 is the prime of
-the package's mod-p screens.  Functions here trust their prime; public
-entries check outside primes with check_prime (probabilistic, error below
-2^-64; deterministic below 3.3e24): experiments.build_scenario checks a
-config's primes to name the bad field, degrees.fiber_report the primes
-it is handed before it sorts out unusable ones, and
-degrees.topological_degree_ff each prime it counts over, so a prime of a
-`run` config is checked three times.
+A univariate toolkit (division, gcd, resultant, interpolation) on
+coefficient lists stored low degree first, for fiber counting and for
+the modular methods of Collins and Brown (J. ACM 1971): term_image maps
+a term map to one variable mod p and crt_lift lifts images mod several
+primes to integers.  WORD_PRIME = 2^61 - 1 = word_prime(0) is the prime
+of the mod-p screens and the first of elimination.resultant's primes.
+Functions here trust their prime; public entries check outside primes
+with check_prime (probabilistic, error below 2^-64; deterministic below
+3.3e24): experiments.build_scenario checks a config's primes to name the
+bad field, degrees.fiber_report the primes it is handed before it sorts
+out unusable ones, and degrees.topological_degree_ff each prime it
+counts over, so a prime of a `run` config is checked three times.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from typing import List, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 # Miller-Rabin witnesses proving primality for every n < 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -53,6 +55,13 @@ def is_probable_prime(n: int) -> bool:
         return not any(witness(a) for a in _MR_BASES)
     rng = random.Random(n)
     return not any(witness(rng.randrange(2, n - 1)) for _ in range(40))
+
+
+@functools.lru_cache(maxsize=None)
+def word_prime(i: int) -> int:
+    """The i-th prime below 2^61 from the top, WORD_PRIME being the 0th."""
+    return WORD_PRIME if i == 0 else next(
+        q for q in range(word_prime(i - 1) - 2, 0, -2) if is_probable_prime(q))
 
 
 def check_prime(p: int) -> int:
@@ -174,3 +183,28 @@ def uni_interpolate(xs: Sequence[int], ys: Sequence[int], p: int) -> Uni:
     the inverse Vandermonde matrix of the distinct nodes xs times ys."""
     rows = _inverse_vandermonde(tuple(xs), p)
     return uni_norm([sum(map(operator.mul, row, ys)) % p for row in rows])
+
+
+def term_image(terms: Mapping[Tuple[int, ...], int], point: Sequence[int],
+               k: int, p: int) -> Uni:
+    """Image mod p of a term map {exponents: c} in x_k: the sum of the
+    c * prod_{j != k} point_j^(e_j) at index e_k; point[k] is not read."""
+    u = [0] * (max(e[k] for e in terms) + 1) if terms else []
+    for e, c in terms.items():
+        for j, x in enumerate(point):
+            if e[j] and j != k:
+                c = c * pow(x, e[j], p) % p
+        u[e[k]] += c
+    return uni_norm([c % p for c in u])
+
+
+def crt_lift(images: Sequence[Sequence[int]], primes: Sequence[int]) -> List[int]:
+    """The c_n with -M/2 < c_n <= M/2 and c_n = images[i][n] mod primes[i],
+    M the product of the distinct primes: for odd primes, each integer c
+    with 2|c| < M is recovered from its images, and no other."""
+    m, out = 1, [0] * len(images[0])
+    for image, p in zip(images, primes):
+        inv = pow(m, -1, p)
+        out = [a + m * ((b - a) * inv % p) for a, b in zip(out, image)]
+        m *= p
+    return [a - m if 2 * a > m else a for a in out]

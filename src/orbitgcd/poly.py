@@ -538,20 +538,13 @@ def _coprime_images(p: BigPoly, q: BigPoly) -> bool:
     """
     n, P = p.arity, ffield.WORD_PRIME
     degs = [sum(next(iter(f.terms))) for f in (p, q)]
+    point = [pow(_SCREEN_BASE, j + 1, P) for j in range(n)]
     for k in reversed(range(n)):
         if any(f.terms.get((0,) * k + (d,) + (0,) * (n - k - 1), 0) % P
                for f, d in zip((p, q), degs)):
-            break
-    else:
-        return False
-    point = [1 if j == k else pow(_SCREEN_BASE, j + 1, P) for j in range(n)]
-    images = []
-    for f, d in zip((p, q), degs):
-        u = [0] * (d + 1)
-        for e, c in f.terms.items():
-            u[e[k]] += c * math.prod(map(pow, point, e, [P] * n)) % P
-        images.append(ffield.uni_norm([c % P for c in u]))
-    return len(ffield.uni_gcd(*images, P)) == 1
+            images = [ffield.term_image(f.terms, point, k, P) for f in (p, q)]
+            return len(ffield.uni_gcd(*images, P)) == 1
+    return False
 
 
 def gcd_multivar(p: BigPoly, q: BigPoly) -> BigPoly:

@@ -14,14 +14,13 @@ every one is 0 are the components evaluated exactly.
 An orbit step divides the values f_i(x) by g = gcd_i f_i(x), the
 generalized gcd of x along the base scheme of f.  For a map of P^2 a
 divisor certificate skips the full-size gcd: for each variable x_k and
-each pair of components of which at least one involves x_k, the integer
-resultant R = Res_{x_k}(f_i, f_j) is a binary form in the other two
-variables with R = A*f_i + B*f_j, so every prime of g divides R(x).
-Writing R = c * P with c its content, every prime of R(x) divides c * S(x)
-for the primitive squarefree part S of P.  A pair that shares a factor
-gives R = 0 and is dropped; so is a pair that does not involve x_k, whose
-empty Sylvester determinant 1 satisfies no such identity.  Only forms with
-deg S < deg f are kept, since only then is c * S(x) smaller than the
+each pair of components, the resultant R = Res_{x_k}(f_i, f_j) over Z
+(elimination.resultant) is a binary form in the other two variables.  If
+either form involves x_k, R = A*f_i + B*f_j, so every prime of g divides
+R(x), and with c the content of R, every prime of R(x) divides c * S(x)
+for the primitive squarefree part S of R / c.  A constant R is dropped: 0
+for a pair that shares a factor, 1 for a pair free of x_k.  Only forms
+with deg S < deg f are kept, since only then is c * S(x) smaller than the
 values.  The gcd G of the kept c * S(x) bounds the primes of g: G = 1
 proves g = 1, and otherwise g comes from gcds of G with the values.
 The certificate is built, by orbitgcd.elimination, the first time a

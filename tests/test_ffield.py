@@ -1,6 +1,7 @@
 """Primality, the F_p census oracles and the univariate polynomial kernels."""
 
 import ast
+import math
 import random
 from pathlib import Path
 
@@ -254,6 +255,69 @@ def test_uni_interpolate_roundtrip(coeffs, extra, data):
 def test_uni_interpolate_rejects_repeated_nodes():
     with pytest.raises(ValueError):
         uni_interpolate([1, 54], [2, 3], 53)
+
+
+def test_word_primes_are_the_primes_below_2_61_in_order():
+    assert ffield.word_prime(0) == ffield.WORD_PRIME == 2 ** 61 - 1
+    for i in range(1, 4):
+        above, below = ffield.word_prime(i - 1), ffield.word_prime(i)
+        assert is_probable_prime(below)
+        assert not any(is_probable_prime(n) for n in range(below + 1, above))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arity=st.integers(1, 4), data=st.data())
+def test_term_image_against_direct_evaluation(arity, data):
+    # the image in x_k at the point, evaluated at t, is the polynomial at
+    # the point with x_k = t, mod p; the entry at k is not read
+    p = data.draw(st.sampled_from([53, 1009, ffield.WORD_PRIME]))
+    k = data.draw(st.integers(0, arity - 1))
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 5)] * arity),
+        st.integers(-2 ** 70, 2 ** 70).filter(bool), max_size=6))
+    point = data.draw(st.lists(st.integers(-2 ** 64, 2 ** 64),
+                               min_size=arity, max_size=arity))
+    image = ffield.term_image(terms, point, k, p)
+    assert image == uni_norm(list(image)) and all(0 <= c < p for c in image)
+    assert len(image) <= max((e[k] + 1 for e in terms), default=0)
+    for t in (0, 1, 2, -7, 2 ** 65 + 3):
+        at = point[:k] + [t] + point[k + 1:]
+        want = sum(c * math.prod(x ** e for x, e in zip(at, exps))
+                   for exps, c in terms.items())
+        assert sum(c * t ** a for a, c in enumerate(image)) % p == want % p
+    point[k] = "not read"
+    assert ffield.term_image(terms, point, k, p) == image
+
+
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(1, 4), data=st.data())
+def test_crt_lift_is_the_symmetric_lift(count, data):
+    primes = [ffield.word_prime(i) for i in range(count)]
+    m = math.prod(primes)
+    values = data.draw(st.lists(st.integers(-(m // 2), m // 2), min_size=1,
+                                max_size=6))
+    values += [-(m // 2), m // 2, -1, 0]
+    images = [[v % p for v in values] for p in primes]
+    assert ffield.crt_lift(images, primes) == values
+    # one residue off at one prime moves that value's lift
+    images[-1][0] = (images[-1][0] + 1) % primes[-1]
+    assert ffield.crt_lift(images, primes)[0] != values[0]
+
+
+def test_crt_lift_recovers_the_bound_only_below_the_modulus():
+    primes = [53, 1009]
+    m = 53 * 1009
+    # a modulus just above 2 * bound recovers both signs of the bound
+    bound = (m - 1) // 2
+    assert 2 * bound < m
+    images = [[bound % p, -bound % p] for p in primes]
+    assert ffield.crt_lift(images, primes) == [bound, -bound]
+    # just below 2 * bound, bound and bound - m share their images, and the
+    # lift returns the one in the symmetric range
+    bound += 1
+    assert 2 * bound > m
+    images = [[bound % p, -bound % p] for p in primes]
+    assert ffield.crt_lift(images, primes) == [bound - m, m - bound]
 
 
 def test_ffield_imports_no_package_module_at_run_time():

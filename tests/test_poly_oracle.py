@@ -21,6 +21,13 @@ sympy's gcd keeps the integer content, so the oracle is normalised to
 gcd_multivar's convention: primitive, with a positive leading coefficient
 in graded lexicographic order.  The certificate oracle rebuilds every
 (content, squarefree part) pair from sympy's resultant and factorisation.
+
+The resultant is checked on random pairs of forms of degree 1 to 4 in
+three variables; the draw is checked to reach an operand free of the
+variable, a leading coefficient that vanishes at the first point, a
+degree in the variable below the total degree, and coefficients near 2^64
+that take three primes or more.  Pinned pairs sit at the edge of the
+coefficient bound that decides how many primes the lift takes.
 """
 
 import contextlib
@@ -34,7 +41,7 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from orbitgcd import elimination, poly, polyparse, projgeom  # noqa: E402
+from orbitgcd import elimination, ffield, poly, polyparse, projgeom  # noqa: E402
 from orbitgcd.ffield import WORD_PRIME  # noqa: E402
 from orbitgcd.poly import (BigPoly, _mul_packed, compose, const,  # noqa: E402
                            gcd_multivar, mul, zero)
@@ -388,6 +395,103 @@ def _normalised_terms(expr):
     return {e: sign * c for e, c in terms.items()}
 
 
+def sympy_resultant(a, b, k):
+    """Res_{x_k}(a, b) from sympy, as an expression."""
+    da, db = (max(e[k] for e in c.terms) for c in (a, b))
+    pa, pb = (sympy.Poly.from_dict(c.terms, *GENS, domain="ZZ").as_expr()
+              for c in (a, b))
+    # sympy 1.14 drops the sign (-1)^(da * db) when da < db, so ask it with
+    # the higher degree first
+    if da >= db:
+        return sympy.resultant(pa, pb, GENS[k])
+    return (-1) ** (da * db) * sympy.resultant(pb, pa, GENS[k])
+
+
+@st.composite
+def resultant_operands(draw):
+    """(p, q, k): two forms of degree 1-4 in x0..x2, of up to five terms,
+    with coefficients near 2^64 in half the draws, and a variable x_k."""
+    size = st.integers(1, 9)
+    if draw(st.booleans()):
+        size = st.integers(2 ** 64 - 2 ** 8, 2 ** 64 + 2 ** 8)
+    coeffs = st.builds(lambda sign, c: sign * c, st.sampled_from([1, -1]),
+                       size)
+    p, q = (BigPoly(3, draw(st.dictionaries(
+        st.sampled_from(forms_of_degree(3, draw(st.integers(1, 4)))), coeffs,
+        min_size=1, max_size=5))) for _ in "pq")
+    return p, q, draw(st.integers(0, 2))
+
+
+def resultant_cases(p, q, k):
+    """The corners of elimination.resultant that Res_{x_k}(p, q) reaches;
+    s is the first of the other two variables, the second is 1."""
+    s = min(v for v in range(3) if v != k)
+    cases = set()
+    for f in (p, q):
+        dk = max(e[k] for e in f.terms)
+        if dk == 0:
+            cases.add("operand free of x_k")
+        elif dk < poly.degree(f):
+            cases.add("0 < deg_k < deg")
+        if not any(e[k] == dk and e[s] == 0 for e in f.terms):
+            cases.add("leading coefficient vanishes at s = 0")
+    counts = []
+    lift = ffield.crt_lift
+
+    def record(images, primes):
+        counts.append(len(primes))
+        return lift(images, primes)
+
+    with mock.patch.object(ffield, "crt_lift", record):
+        elimination.resultant(p, q, k)
+    if counts[0] >= 3:
+        cases.add("three or more primes")
+    return cases
+
+
+RESULTANT_CASES = ["operand free of x_k", "0 < deg_k < deg",
+                   "leading coefficient vanishes at s = 0",
+                   "three or more primes"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(resultant_operands())
+def test_resultant_matches_sympy(pqk):
+    p, q, k = pqk
+    for case in sorted(resultant_cases(p, q, k)):
+        event(case)
+    want = sympy.Poly(sympy_resultant(p, q, k), *GENS)
+    assert elimination.resultant(p, q, k).terms == sympy_terms(want)
+
+
+@pytest.mark.parametrize("case", RESULTANT_CASES)
+def test_resultant_operands_reach_every_case(case):
+    find(resultant_operands(), lambda pqk: case in resultant_cases(*pqk),
+         settings=settings(database=None, max_examples=1000,
+                           phases=[Phase.generate]))
+
+
+# Res_{x0} of an operand free of x0 is a power of it.  One prime P =
+# WORD_PRIME lifts a coefficient c only when 2|c| < P, which fails here,
+# although P exceeds the bound |p|^dq |q|^dp without its factor 2
+# (twice-the-bound: R = q = (P - 1) x1^2), or twice that bound with the
+# largest coefficient in place of the sum of absolute coefficients
+# (sum-of-coefficients: R = p^2 has the coefficient 2 A^2 in (P/2, P)).
+_A = math.isqrt(WORD_PRIME // 3)
+RESULTANT_BOUND_EDGES = {
+    "twice-the-bound": ("x0 + x1", "%d*x1^2" % (WORD_PRIME - 1)),
+    "sum-of-coefficients": ("%d*x1 + %d*x2" % (_A, _A), "x0^2 + x1^2"),
+}
+
+
+@pytest.mark.parametrize("p_text, q_text", RESULTANT_BOUND_EDGES.values(),
+                         ids=RESULTANT_BOUND_EDGES.keys())
+def test_resultant_at_the_edge_of_its_bound(p_text, q_text):
+    p, q = polyparse.parse(p_text, 3), polyparse.parse(q_text, 3)
+    want = sympy.Poly(sympy_resultant(p, q, 0), *GENS)
+    assert elimination.resultant(p, q, 0).terms == sympy_terms(want)
+
+
 CERTIFICATE_MAPS = [
     "x0^2*x1; x1^3; x2^3",
     "x0^2*x1; x1^3 + x0^2*x1 + x0*x2^2; x2^3",
@@ -406,17 +510,9 @@ def test_divisor_certificate_matches_sympy(map_text):
     want = {}
     for k in range(3):
         for a, b in itertools.combinations(comps, 2):
-            da, db = (max(e[k] for e in c.terms) for c in (a, b))
-            if da == db == 0:
+            if not any(e[k] for c in (a, b) for e in c.terms):
                 continue  # the empty Sylvester matrix: no certificate
-            pa, pb = (sympy.Poly.from_dict(c.terms, *GENS, domain="ZZ")
-                      .as_expr() for c in (a, b))
-            # sympy 1.14 drops the sign (-1)^(da * db) when da < db, so ask
-            # it with the higher degree first
-            if da >= db:
-                r = sympy.resultant(pa, pb, GENS[k])
-            else:
-                r = (-1) ** (da * db) * sympy.resultant(pb, pa, GENS[k])
+            r = sympy_resultant(a, b, k)
             got = elimination.resultant(a, b, k)
             if r == 0:
                 assert not got.terms
