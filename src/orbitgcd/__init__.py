@@ -13,8 +13,8 @@ from .degrees import (arithmetic_degree_estimate, degree_sequence,
                       monomial_dyn_degrees, topological_degree_ff)
 from .experiments import (ScenarioConfig, builtin_scenario, render_csv,
                           render_json, render_summary, run_scenario)
-from .heights import (HeightValue, bcz_closed_form, height_ratio_series,
-                      subscheme_height, weil_height)
+from .heights import (HeightValue, height_ratio_series, subscheme_height,
+                      weil_height)
 from .poly import BigPoly, gcd_multivar
 from .polyparse import parse
 from .projgeom import (ProjPoint, RationalMap, SubschemeIdeal, make_ideal,
@@ -27,7 +27,7 @@ __all__ = [
     "ProjPoint", "RationalMap", "SubschemeIdeal",
     "make_point", "make_map", "make_ideal", "orbit",
     "HeightValue", "weil_height", "subscheme_height",
-    "height_ratio_series", "bcz_closed_form",
+    "height_ratio_series",
     "degree_sequence", "topological_degree_ff",
     "monomial_dyn_degrees", "arithmetic_degree_estimate",
     "ScenarioConfig", "builtin_scenario", "run_scenario",

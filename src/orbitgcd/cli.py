@@ -3,7 +3,9 @@
 Two subcommands: `run` executes a scenario (built-in or from a JSON
 config) and emits the per-iterate table as CSV or JSON; `degrees`
 estimates dynamical degrees for a map given directly on the command
-line, or exactly for a monomial map given by its exponent matrix.
+line, or exactly for a monomial map given by its exponent matrix.  The
+random seed comes from --seed alone (default 0), so the same arguments
+always print the same bytes.
 
 Exit codes: 0 success, 1 bad input or configuration, 2 the computation
 finished but raised at least one flag (truncated orbit, ambiguous mode,
@@ -48,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="report format (default csv)")
     run.add_argument("--out", metavar="FILE", default=None,
                      help="write the report here instead of stdout")
-    run.add_argument("--seed", type=int, default=None,
-                     help="random seed (default: ORBITGCD_SEED or 0)")
+    run.add_argument("--seed", type=int, default=0,
+                     help="random seed (default 0)")
 
     deg = sub.add_parser("degrees", help="degree estimates for a map")
     deg.add_argument("--map", metavar="COMPS",
@@ -66,22 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="primes for fiber counting")
     deg.add_argument("--targets", type=int, default=10,
                      help="fiber-count targets per prime (default 10)")
-    deg.add_argument("--seed", type=int, default=None,
-                     help="random seed (default: ORBITGCD_SEED or 0)")
+    deg.add_argument("--seed", type=int, default=0,
+                     help="random seed (default 0)")
     return parser
-
-
-def resolve_seed(cli_seed: Optional[int]) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    env = os.environ.get("ORBITGCD_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise experiments.ConfigError(
-                "ORBITGCD_SEED: %r is not an integer" % env) from None
-    return 0
 
 
 def _flags_sidecar_path(out_path: str) -> str:
@@ -191,7 +180,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code == 0 else 1
 
     try:
-        seed = resolve_seed(getattr(args, "seed", None))
+        seed = getattr(args, "seed", 0)
         sys.stderr.write("orbitgcd %s seed=%d\n" % (__version__, seed))
         if args.command == "run":
             return cmd_run(args, seed)

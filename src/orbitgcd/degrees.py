@@ -158,8 +158,7 @@ def _sheared_forms(comps: Sequence[poly.TermMap],
         for e0 in range(e + 1):
             lo, hi, prev = ((be, al, forms[e0 - 1, e - e0]) if e0 else
                             (de, ga, forms[0, e - 1]))
-            forms[e0, e - e0] = [(lo * a + hi * b) % prime
-                                 for a, b in zip(prev + [0], [0] + prev)]
+            forms[e0, e - e0] = ffield.uni_mul(prev, [lo, hi], prime)
     out = []
     for terms in comps:
         coeffs = [[0] * (d - k + 1) for k in range(d + 1)]
@@ -495,9 +494,9 @@ class AlphaEstimate:
 def arithmetic_degree_estimate(heights: Sequence[float]) -> AlphaEstimate:
     """Tail estimates of the arithmetic degree from h(f^n x), n = 0, 1, ...
 
-    root_tail is max(1, h_last)^{1/n_last}; ratio_tail is the geometric
-    mean of successive height quotients over the last ceil(len/3) steps,
-    skipping steps with a zero denominator or a zero quotient.
+    root_tail is the root of the last finite h_n in alpha_estimate_rows, and
+    ratio_tail the geometric mean of its quotients 0 < h_n/h_{n-1} < inf over
+    the last ceil(len/3) steps, or over all steps if the tail has none.
     """
     hs = [float(h) for h in heights]
     finite = [h for h in hs if math.isfinite(h)]
@@ -505,27 +504,17 @@ def arithmetic_degree_estimate(heights: Sequence[float]) -> AlphaEstimate:
         raise ValueError("need at least 4 finite height entries")
     if all(h == 0.0 for h in hs):
         return AlphaEstimate(1.0, 1.0, len(hs) - 1, (0, 0), degenerate=True)
-    n_last = len(hs) - 1
-    while n_last > 0 and not math.isfinite(hs[n_last]):
-        n_last -= 1
-    root_tail = max(1.0, hs[n_last]) ** (1.0 / n_last)
-
-    window = math.ceil(len(hs) / 3)
-    first = max(0, len(hs) - 1 - window)
-
-    def steps_in(lo: int) -> List[Tuple[int, float]]:
-        out = []
-        for i in range(lo, len(hs) - 1):
-            if 0 < hs[i] < math.inf and 0 < hs[i + 1] < math.inf:
-                out.append((i, hs[i + 1] / hs[i]))
-        return out
-
-    # an empty tail window falls back to all usable steps
-    steps = steps_in(first) or steps_in(0)
+    rows = alpha_estimate_rows(hs)
+    n_last, root_tail, _ = next(r for r in reversed(rows)
+                                if math.isfinite(hs[r[0]]))
+    # a quotient from an infinite h_{n-1} is 0 or nan, so it never counts
+    usable = [(n - 1, step) for n, _, step in rows
+              if step is not None and 0 < step < math.inf]
+    first = len(hs) - 1 - math.ceil(len(hs) / 3)
+    steps = [s for s in usable if s[0] >= first] or usable
     if not steps:
         return AlphaEstimate(root_tail, 1.0, n_last, (0, 0), degenerate=True)
-    logs = [math.log(s) for _, s in steps]
-    log_mean = ordered_sum(logs) / len(logs)
+    log_mean = ordered_sum(math.log(s) for _, s in steps) / len(steps)
     return AlphaEstimate(root_tail, math.exp(log_mean), n_last,
                          (steps[0][0], steps[-1][0]))
 

@@ -14,7 +14,6 @@ from typing import Dict, Sequence, Tuple
 
 from . import ffield, poly
 from .poly import BigPoly
-from .projgeom import Coords
 
 # (c, S) pairs: every prime of g = gcd_i f_i(x) divides c * S(x)
 Certificate = Tuple[Tuple[int, BigPoly], ...]
@@ -109,7 +108,7 @@ def divisor_certificate(forms: Sequence[BigPoly]) -> Certificate:
                         key=lambda cs: poly.degree(cs[1])))
 
 
-def certified_support(cert: Certificate, coords: Coords) -> int:
+def certified_support(cert: Certificate, coords: Sequence[int]) -> int:
     """gcd of the c * S(coords), or 0 when the certificate is empty or
     every one of them vanishes."""
     g = 0

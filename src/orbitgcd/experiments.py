@@ -378,14 +378,15 @@ def check_hypotheses(config: ScenarioConfig, alpha: Optional[AlphaEstimate],
 
 def _closed_form_check(config: ScenarioConfig, rows: Sequence[HeightRow],
                        advisories: List[str], flags: List[str]) -> Optional[str]:
-    """Row-by-row comparison against the diagonal-map closed form."""
+    """Row-by-row comparison of h_Y's integer witnesses with bcz_exact_parts."""
     if config.metadata.get("closed_form") != "diagonal":
         return None
     try:
         a = int(config.metadata["a"])
         b = int(config.metadata["b"])
     except (KeyError, ValueError):
-        flags.append("closed-form check requested but parameters a, b missing")
+        flags.append("closed-form check requested but parameters a, b "
+                     "missing or not integers")
         return None
     if a < 2 or b < 2:
         flags.append("closed-form check requested but parameters a, b "
@@ -401,15 +402,11 @@ def _closed_form_check(config: ScenarioConfig, rows: Sequence[HeightRow],
     for row in rows:
         if row.n == 0:
             continue
-        expected = heights.bcz_closed_form(a, b, row.n)
-        got = (row.h, row.height.total, row.ratio)
-        want = (expected.h, expected.h_Y, expected.ratio)
-        for g, w in zip(got, want):
-            if g is None or w is None:
-                continue
-            if abs(g - w) > 1e-9 * max(1.0, abs(w)):
-                flags.append("closed-form cross-check failed at n=%d" % row.n)
-                return "failed at n=%d" % row.n
+        hv = row.height
+        if (hv.sup_norm, hv.gcd_value, hv.arch_value) \
+                != heights.bcz_exact_parts(a, b, row.n):
+            flags.append("closed-form cross-check failed at n=%d" % row.n)
+            return "failed at n=%d" % row.n
         checked += 1
     if checked == 0:
         return None

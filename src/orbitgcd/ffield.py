@@ -169,7 +169,7 @@ def _inverse_vandermonde(xs: Tuple[int, ...], p: int) -> Tuple[Tuple[int, ...], 
     ValueError for nodes that repeat mod p."""
     master = [1]  # prod (t - x) over all nodes
     for x in xs:
-        master = [(a - x * b) % p for a, b in zip([0] + master, master + [0])]
+        master = uni_mul(master, [-x % p, 1], p)
     cols = []
     for x in xs:
         q = uni_divmod(master, [-x % p, 1], p)[0]  # master / (t - x)

@@ -97,21 +97,17 @@ def subscheme_height(Y: SubschemeIdeal, x: ProjPoint) -> HeightValue:
                        arch_value=best_v, arch_degree=best_d)
 
 
-class BczRow(NamedTuple):
-    """One step of the diagonal-map closed form."""
-    h: float
-    h_Y: float
-    ratio: float
-
-
 class BczWitness(NamedTuple):
-    """Exact integers behind bcz_closed_form, for integer-exact comparisons."""
+    """The integer witnesses of h_Y at the n-th point of the diagonal orbit."""
     sup_norm: int          # max(a^n, b^n, 1)
     gcd_value: int         # gcd(a^n - 1, b^n - 1)
     arch_value: int        # max(a^n - 1, b^n - 1)
 
 
 def bcz_exact_parts(a: int, b: int, n: int) -> BczWitness:
+    """The witnesses at f^n(1:1:1) = (a^n : b^n : 1), f = (a*x0 : b*x1 : x2),
+    of Y = the point (1:1:1), cut out by x0 - x2 and x1 - x2, whose values
+    there are a^n - 1 and b^n - 1."""
     if a < 2 or b < 2:
         raise ValueError("bases must be >= 2")
     if n < 1:
@@ -119,19 +115,6 @@ def bcz_exact_parts(a: int, b: int, n: int) -> BczWitness:
     an, bn = a ** n, b ** n
     return BczWitness(max(an, bn, 1), math.gcd(an - 1, bn - 1),
                       max(an - 1, bn - 1))
-
-
-def bcz_closed_form(a: int, b: int, n: int) -> BczRow:
-    """Heights of the n-th point of the diagonal orbit, in closed form.
-
-    The orbit of (1:1:1) under (a*x0 : b*x1 : x2) is (a^n : b^n : 1), and
-    Y = the point (1:1:1) gives generator values a^n - 1 and b^n - 1, so
-    h_Y tracks log gcd(a^n - 1, b^n - 1) up to the archimedean correction.
-    """
-    w = bcz_exact_parts(a, b, n)
-    h = math.log(w.sup_norm)
-    h_y = math.log(w.sup_norm) - math.log(w.arch_value) + math.log(w.gcd_value)
-    return BczRow(h, h_y, h_y / h)
 
 
 def multiplicatively_dependent(a: int, b: int) -> bool:

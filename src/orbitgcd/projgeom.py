@@ -124,17 +124,23 @@ class SubschemeIdeal:
         return self.generators[0].arity
 
 
+def _form_degree(label: str, i: int, p: BigPoly, arity: int) -> Optional[int]:
+    """The degree of p (None for 0); raises ValueError naming label i
+    unless p is homogeneous in arity variables."""
+    if p.arity != arity:
+        raise ValueError("%s %d has mismatched arity" % (label, i))
+    ok, d = poly.is_homogeneous(p)
+    if not ok:
+        raise ValueError("%s %d is not homogeneous" % (label, i))
+    return d
+
+
 def make_ideal(generators: Sequence[BigPoly]) -> SubschemeIdeal:
     gens = tuple(generators)
     if not gens:
         raise ValueError("ideal needs at least one generator")
-    arity = gens[0].arity
     for i, g in enumerate(gens):
-        if g.arity != arity:
-            raise ValueError("generator %d has mismatched arity" % i)
-        ok, d = poly.is_homogeneous(g)
-        if not ok:
-            raise ValueError("generator %d is not homogeneous" % i)
+        d = _form_degree("generator", i, g, gens[0].arity)
         if d is None or d < 1:
             raise ValueError("generator %d must be nonzero of degree >= 1" % i)
     return SubschemeIdeal(gens)
@@ -157,11 +163,7 @@ def make_map(components: Sequence[BigPoly]) -> RationalMap:
                          % (arity, arity, len(comps)))
     common_deg: Optional[int] = None
     for i, c in enumerate(comps):
-        if c.arity != arity:
-            raise ValueError("component %d has mismatched arity" % i)
-        ok, d = poly.is_homogeneous(c)
-        if not ok:
-            raise ValueError("component %d is not homogeneous" % i)
+        d = _form_degree("component", i, c, arity)
         if d is not None:
             if common_deg is not None and d != common_deg:
                 raise ValueError("component degrees differ: %d vs %d"

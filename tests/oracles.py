@@ -1,14 +1,16 @@
 """Test-only oracles: a brute-force census of P^2(F_p), the F_p-rational
-fiber count built on it, the per-prime mode of a fiber-count report, and
-a printer for the polynomial grammar of orbitgcd.polyparse.  The package
-itself never calls them."""
+fiber count built on it, the per-prime mode of a fiber-count report, a
+printer for the polynomial grammar of orbitgcd.polyparse, and a reference
+arithmetic-degree estimator with its own step loop.  The package itself
+never calls them."""
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from orbitgcd import ffield, poly
-from orbitgcd.degrees import FiberCountReport
+from orbitgcd.degrees import AlphaEstimate, FiberCountReport, ordered_sum
 from orbitgcd.poly import BigPoly
 from orbitgcd.projgeom import RationalMap
 
@@ -85,3 +87,37 @@ def format_poly(p: BigPoly) -> str:
         else:
             pieces.append(("+ " if coeff > 0 else "- ") + body)
     return " ".join(pieces)
+
+
+def arithmetic_degree_reference(heights: Sequence[float]) -> AlphaEstimate:
+    """degrees.arithmetic_degree_estimate with its own step rule: a step
+    i -> i+1 counts when 0 < h_i < inf and 0 < h_{i+1} < inf, over the
+    last ceil(len/3) steps, or over all steps when none of those counts."""
+    hs = [float(h) for h in heights]
+    finite = [h for h in hs if math.isfinite(h)]
+    if len(finite) < 4:
+        raise ValueError("need at least 4 finite height entries")
+    if all(h == 0.0 for h in hs):
+        return AlphaEstimate(1.0, 1.0, len(hs) - 1, (0, 0), degenerate=True)
+    n_last = len(hs) - 1
+    while n_last > 0 and not math.isfinite(hs[n_last]):
+        n_last -= 1
+    root_tail = max(1.0, hs[n_last]) ** (1.0 / n_last)
+
+    window = math.ceil(len(hs) / 3)
+    first = max(0, len(hs) - 1 - window)
+
+    def steps_in(lo: int) -> List[Tuple[int, float]]:
+        out = []
+        for i in range(lo, len(hs) - 1):
+            if 0 < hs[i] < math.inf and 0 < hs[i + 1] < math.inf:
+                out.append((i, hs[i + 1] / hs[i]))
+        return out
+
+    steps = steps_in(first) or steps_in(0)
+    if not steps:
+        return AlphaEstimate(root_tail, 1.0, n_last, (0, 0), degenerate=True)
+    logs = [math.log(s) for _, s in steps]
+    log_mean = ordered_sum(logs) / len(logs)
+    return AlphaEstimate(root_tail, math.exp(log_mean), n_last,
+                         (steps[0][0], steps[-1][0]))

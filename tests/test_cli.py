@@ -241,6 +241,49 @@ def test_closed_form_bases_below_two_are_flagged(tmp_path, capsys):
     assert payload["summary"]["closed_form_check"] is None
 
 
+DIAGONAL_CONFIG = {
+    "arity": 3, "map": "2*x0; 3*x1; x2", "ideal": ["x0 - x2", "x1 - x2"],
+    "start": [1, 1, 1], "n_max": 5,
+    "metadata": {"closed_form": "diagonal", "a": "2", "b": "3"},
+}
+
+
+@pytest.mark.parametrize("change", [
+    {"map": "2*x0; 5*x1; x2"},
+    # sup_norm and arch_value agree at n = 1; gcd_value is 2, not 1
+    {"ideal": ["2*x0 - 2*x2", "x1 - x2"]},
+], ids=["map", "gcd-only"])
+def test_closed_form_mismatch_is_flagged(tmp_path, capsys, change):
+    cfg = write_config(tmp_path, "mismatch.json", {**DIAGONAL_CONFIG, **change})
+    assert main(["run", "--config", cfg, "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["flags"] == ["closed-form cross-check failed at n=1"]
+    assert payload["summary"]["closed_form_check"] == "failed at n=1"
+
+
+def test_closed_form_check_is_skipped_off_the_start_1_1_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, "start.json",
+                       {**DIAGONAL_CONFIG, "start": [2, 1, 1]})
+    assert main(["run", "--config", cfg, "--format", "json"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["closed_form_check"] is None
+    assert "closed-form cross-check skipped: start is not (1:1:1)" \
+        in summary["advisories"]
+
+
+@pytest.mark.parametrize("params", [{"b": "3"}, {"a": "2.5", "b": "3"}],
+                         ids=["missing", "not-an-integer"])
+def test_closed_form_parameters_must_be_integers(tmp_path, capsys, params):
+    data = {**DIAGONAL_CONFIG,
+            "metadata": {"closed_form": "diagonal", **params}}
+    cfg = write_config(tmp_path, "params.json", data)
+    assert main(["run", "--config", cfg, "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["flags"] == ["closed-form check requested but parameters "
+                                "a, b missing or not integers"]
+    assert payload["summary"]["closed_form_check"] is None
+
+
 def test_degrees_and_run_share_the_fiber_flags(tmp_path, capsys):
     # the image of (x0^2 : x0*x1 : x1^2) is a conic, so every fiber over a
     # random target is empty
@@ -383,38 +426,17 @@ def test_multipliers_are_rejected_outside_diag(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# seed resolution
-
-
-def test_seed_from_environment(monkeypatch, capsys):
-    monkeypatch.setenv("ORBITGCD_SEED", "7")
-    assert main(["run", "--scenario", "bcz", "--n-max", "6"]) == 0
-    assert capsys.readouterr().err.splitlines()[0] \
-        == BANNER % (__version__, 7)
-
-
-def test_cli_seed_beats_environment(monkeypatch, capsys):
-    monkeypatch.setenv("ORBITGCD_SEED", "7")
-    assert main(["run", "--scenario", "bcz", "--n-max", "6",
-                 "--seed", "3"]) == 0
-    assert capsys.readouterr().err.splitlines()[0] \
-        == BANNER % (__version__, 3)
-
-
-def test_bad_environment_seed_is_a_user_error(monkeypatch, capsys):
-    monkeypatch.setenv("ORBITGCD_SEED", "soon")
-    assert main(["run", "--scenario", "bcz", "--n-max", "6"]) == 1
-    assert "ORBITGCD_SEED" in capsys.readouterr().err
+# seed
 
 
 def test_same_seed_same_bytes(capsys):
     argv = ["run", "--scenario", "backnonfin", "--n-max", "8",
             "--format", "json", "--seed", "11"]
     assert main(argv) == 0
-    first = capsys.readouterr().out
+    first = capsys.readouterr()
+    assert first.err.splitlines()[0] == BANNER % (__version__, 11)
     assert main(argv) == 0
-    second = capsys.readouterr().out
-    assert first == second
+    assert capsys.readouterr() == first
 
 
 # ---------------------------------------------------------------------------

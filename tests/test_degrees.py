@@ -18,7 +18,8 @@ from orbitgcd.degrees import (arithmetic_degree_estimate, d1_estimate,
 from orbitgcd.ffield import (is_probable_prime, uni_deg, uni_interpolate,
                              uni_mul, uni_norm, uni_resultant)
 from orbitgcd.projgeom import make_map, make_point
-from oracles import modes_by_prime, rational_fiber_count
+from oracles import (arithmetic_degree_reference, modes_by_prime,
+                     rational_fiber_count)
 
 
 def pmap(*comps: str, arity: int = 3) -> projgeom.RationalMap:
@@ -459,6 +460,29 @@ def test_ordered_sum_rounds_left_to_right_on_every_interpreter():
     assert degrees.ordered_sum([1e16, 1.0, -1e16]) == 0.0
     assert degrees.ordered_sum(iter([0.5, 0.25])) == 0.75
     assert degrees.ordered_sum([]) == 0.0
+
+
+def _outcome(estimator, hs):
+    try:
+        return repr(estimator(hs))
+    except ValueError as exc:
+        return repr(exc)
+
+
+# Positive heights stay in [1e-6, 1e9], where no quotient of two of them
+# underflows to 0 or overflows to inf; heights of integer points are 0 or
+# at least log 2.
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.just(math.inf),
+                          st.floats(min_value=1e-6, max_value=1e9)),
+                min_size=4, max_size=14))
+@example([1.0, 2.0, 4.0, 8.0, 0.0])
+@example([0.0, 0.0, 1.0, math.inf, 2.0, 0.0, 3.0])
+@example([1.0, math.inf, math.inf, 2.0, 4.0, 8.0, 16.0, math.inf])
+@example([5.0, 0.0, 5.0, 0.0, 5.0, 0.0])
+def test_alpha_estimate_matches_the_reference_step_rule(hs):
+    assert _outcome(arithmetic_degree_estimate, hs) \
+        == _outcome(arithmetic_degree_reference, hs)
 
 
 def test_alpha_rows_shape():

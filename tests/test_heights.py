@@ -10,9 +10,9 @@ from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 from orbitgcd import elimination, heights, poly, polyparse, projgeom
-from orbitgcd.heights import (bcz_closed_form, bcz_exact_parts,
-                              height_ratio_series, multiplicatively_dependent,
-                              subscheme_height, weil_height)
+from orbitgcd.heights import (bcz_exact_parts, height_ratio_series,
+                              multiplicatively_dependent, subscheme_height,
+                              weil_height)
 from orbitgcd.projgeom import make_ideal, make_map, make_point
 
 
@@ -207,14 +207,6 @@ def test_bcz_exact_parts_small_n():
     assert w.arch_value == 728
 
 
-def test_bcz_closed_form_values():
-    row = bcz_closed_form(2, 3, 6)
-    expected_hy = math.log(729) - math.log(728) + math.log(7)
-    assert row.h == math.log(729)
-    assert row.h_Y == pytest.approx(expected_hy, rel=1e-15)
-    assert row.ratio == pytest.approx(expected_hy / math.log(729), rel=1e-15)
-
-
 def test_bcz_closed_form_validates():
     with pytest.raises(ValueError):
         bcz_exact_parts(1, 3, 2)
@@ -227,13 +219,11 @@ def test_bcz_closed_form_matches_subscheme_height():
     for n in (1, 2, 5, 9, 17):
         pt = make_point((2 ** n, 3 ** n, 1))
         hv = subscheme_height(y, pt)
-        row = bcz_closed_form(2, 3, n)
         parts = bcz_exact_parts(2, 3, n)
         assert hv.sup_norm == parts.sup_norm
         assert hv.gcd_value == parts.gcd_value
         assert hv.arch_value == parts.arch_value
-        assert hv.total == pytest.approx(row.h_Y, rel=1e-12)
-        assert weil_height(pt) == pytest.approx(row.h, rel=1e-15)
+        assert weil_height(pt) == math.log(parts.sup_norm)
 
 
 # ---------------------------------------------------------------------------
