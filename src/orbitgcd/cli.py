@@ -161,8 +161,8 @@ def cmd_degrees(args: argparse.Namespace, seed: int) -> int:
         except ValueError:
             raise experiments.ConfigError(
                 "primes: want comma-separated integers") from None
-        fiber = degrees.fiber_report(f, primes, args.targets,
-                                     random.Random(seed), flags)
+        fiber = degrees.topological_degree_ff(f, primes, args.targets,
+                                              random.Random(seed), flags)
         if fiber is not None:
             payload["dN_counts"] = fiber.as_dict()
     payload["flags"] = flags

@@ -125,11 +125,6 @@ class FiberCountReport:
                 "failed_samples": self.failed_samples, "samples": self.samples}
 
 
-def _histogram_modes(hist: Dict[int, int]) -> List[Tuple[int, int]]:
-    best = max(hist.values())
-    return sorted((k, v) for k, v in hist.items() if v == best)
-
-
 def _chart_terms(fi: poly.TermMap, t: int, f_last: poly.TermMap,
                  prime: int) -> poly.TermMap:
     """Nonzero terms of f_i - t * f_last mod prime, the chart equation for
@@ -195,15 +190,14 @@ def _eliminant(g1: poly.TermMap, g2: poly.TermMap, target_ab: Tuple[int, int],
     caller computes them once per (shear, v0) for all its eliminants.  The
     u-degree of S(g_k) is at most the xy-degree d_k of the chart terms.
 
+    The prime exceeds d^2 + 1 >= d1*d2 + 1 (topological_degree_ff skips
+    smaller ones), so the d1*d2 + 1 samples v0 are distinct mod p.
     Returns None when the shear loses a leading coefficient or the
     resultant vanishes identically (shared factor for this target).
     """
     a, b = target_ab
     d1, d2 = _xy_degree(g1), _xy_degree(g2)
     n_samples = d1 * d2 + 1
-    if n_samples >= prime:
-        raise ValueError("prime %d too small for degree-%d eliminant"
-                         % (prime, d1 * d2))
     ys = []
     for v0 in range(n_samples):
         s0, s1, s2 = sheared(v0)
@@ -307,33 +301,45 @@ def geometric_fiber_count(comps: Sequence[poly.TermMap], prime: int,
 
 
 def topological_degree_ff(f: RationalMap, primes: Sequence[int],
-                          targets_per_prime: int,
-                          rng: Optional[random.Random] = None
-                          ) -> FiberCountReport:
+                          targets_per_prime: int, rng: random.Random,
+                          flags: List[str]) -> Optional[FiberCountReport]:
     """Histogram of geometric fiber sizes over random targets; the mode
-    estimates the topological degree.
+    estimates the topological degree.  None when no prime is usable.
 
     Targets are drawn from the affine chart (a : b : 1), which covers all
-    but a null set of P^2(F_p).  Ties in the histogram are all reported
-    and flagged ambiguous.  A repeated prime, or a number that
-    ffield.check_prime rejects, raises ValueError.
+    but a null set of P^2(F_p).  Each trouble appends to flags: a map that
+    is not of P^2 is skipped; a prime p is skipped, drawing nothing from
+    rng, when it repeats an earlier one, when p <= d^2 + 1 (an eliminant
+    interpolates through up to d^2 + 1 points of F_p) or when p divides
+    every coefficient of some component; then ties in the histogram (an
+    ambiguous mode, all reported) and a degenerate count are flagged.
+    Raises ValueError for a number that ffield.check_prime rejects.
     """
+    for prime in primes:
+        ffield.check_prime(prime)
     if f.arity != 3:
-        raise ValueError("fiber counting is implemented for P^2 only")
-    if rng is None:
-        rng = random.Random(0)
+        flags.append("fiber counting skipped: implemented for maps of P^2 "
+                     "only")
+        return None
     bound = f.degree * f.degree
     by_prime: Dict[int, Dict[int, int]] = {}
     overall: Counter = Counter()
     failed = samples = 0
-    for prime in primes:
-        if prime in by_prime:
-            raise ValueError("prime %d is repeated" % prime)
-        ffield.check_prime(prime)
+    for i, prime in enumerate(primes):
+        if prime in primes[:i]:
+            flags.append("fiber counting skipped prime %d: repeated" % prime)
+            continue
+        if prime <= bound + 1:
+            flags.append("fiber counting skipped prime %d: too small for the "
+                         "degree-%d map" % (prime, f.degree))
+            continue
         comps = [{e: r for e, c in comp.terms.items() if (r := c % prime)}
                  for comp in f.components]
-        if any(not c for c in comps):
-            raise ValueError("prime %d wipes out a map component" % prime)
+        wiped = [k for k, c in enumerate(comps) if not c]
+        if wiped:
+            flags.append("fiber counting skipped prime %d: it divides every "
+                         "coefficient of map component %d" % (prime, wiped[0]))
+            continue
         hist: Counter = Counter()
         for _ in range(targets_per_prime):
             samples += 1
@@ -352,59 +358,22 @@ def topological_degree_ff(f: RationalMap, primes: Sequence[int],
             hist[count] += 1
             overall[count] += 1
         by_prime[prime] = dict(sorted(hist.items()))
-    modes = [k for k, _ in _histogram_modes(dict(overall))] if overall else []
+    if not by_prime:
+        return None
+    best = max(overall.values(), default=None)
+    modes = sorted(k for k, v in overall.items() if v == best)
     mode = modes[0] if len(modes) == 1 else None
-    degenerate = failed * 2 > samples or mode == 0
-    return FiberCountReport(histogram=dict(sorted(overall.items())),
-                            by_prime=by_prime, modes=modes, mode=mode,
-                            ambiguous=len(modes) > 1, degenerate=degenerate,
-                            failed_samples=failed, samples=samples)
-
-
-def fiber_report(f: RationalMap, primes: Sequence[int], targets_per_prime: int,
-                 rng: random.Random, flags: List[str]
-                 ) -> Optional[FiberCountReport]:
-    """topological_degree_ff over the primes that fiber counting can use
-    for f, or None when there are none; each trouble appends to flags.
-
-    A map that is not of P^2 is skipped with a flag.  A prime p is skipped
-    with a flag when it repeats an earlier one, when p <= d^2 + 1 (an
-    eliminant interpolates through up to d^2 + 1 points of F_p) or when p
-    divides every coefficient of some component.  An ambiguous mode and a
-    degenerate count are flagged too.
-    Raises ValueError for a number that check_prime rejects.
-    """
-    for p in primes:
-        ffield.check_prime(p)
-    if f.arity != 3:
-        flags.append("fiber counting skipped: implemented for maps of P^2 "
-                     "only")
-        return None
-    deg = f.degree
-    usable = []
-    for i, p in enumerate(primes):
-        wiped = [k for k, c in enumerate(f.components)
-                 if poly.content(c) % p == 0]
-        if p in primes[:i]:
-            flags.append("fiber counting skipped prime %d: repeated" % p)
-        elif p <= deg * deg + 1:
-            flags.append("fiber counting skipped prime %d: too small "
-                         "for the degree-%d map" % (p, deg))
-        elif wiped:
-            flags.append("fiber counting skipped prime %d: it divides "
-                         "every coefficient of map component %d"
-                         % (p, wiped[0]))
-        else:
-            usable.append(p)
-    if not usable:
-        return None
-    fiber = topological_degree_ff(f, usable, targets_per_prime, rng=rng)
-    if fiber.ambiguous:
+    report = FiberCountReport(histogram=dict(sorted(overall.items())),
+                              by_prime=by_prime, modes=modes, mode=mode,
+                              ambiguous=len(modes) > 1,
+                              degenerate=failed * 2 > samples or mode == 0,
+                              failed_samples=failed, samples=samples)
+    if report.ambiguous:
         flags.append("fiber-count mode ambiguous: candidates %s"
-                     % ", ".join(map(str, fiber.modes)))
-    if fiber.degenerate:
+                     % ", ".join(map(str, modes)))
+    if report.degenerate:
         flags.append("fiber counting degenerate (map may fail to be dominant)")
-    return fiber
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +405,7 @@ def _char_poly_coeffs(matrix: Sequence[Sequence[int]]) -> List[int]:
 def monomial_dyn_degrees(matrix: Sequence[Sequence[int]]) -> List[float]:
     """d_0..d_N for the dominant monomial map of integer exponent matrix A:
     the i-th entry is the product of the i largest eigenvalue moduli; d_N
-    is |det A| exactly.
+    is float(|det A|) of the exact integer determinant, exact up to 2^53.
 
     Roots come from numpy's companion-matrix eigenvalues and are
     cross-checked against the exact determinant and trace.  Raises

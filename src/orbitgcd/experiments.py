@@ -376,8 +376,9 @@ def check_hypotheses(config: ScenarioConfig, alpha: Optional[AlphaEstimate],
                             verdict=verdict)
 
 
-def _closed_form_check(config: ScenarioConfig, rows: Sequence[HeightRow],
-                       advisories: List[str], flags: List[str]) -> Optional[str]:
+def _closed_form_check(config: ScenarioConfig, x0: ProjPoint,
+                       rows: Sequence[HeightRow], advisories: List[str],
+                       flags: List[str]) -> Optional[str]:
     """Row-by-row comparison of h_Y's integer witnesses with bcz_exact_parts."""
     if config.metadata.get("closed_form") != "diagonal":
         return None
@@ -392,7 +393,7 @@ def _closed_form_check(config: ScenarioConfig, rows: Sequence[HeightRow],
         flags.append("closed-form check requested but parameters a, b "
                      "must be >= 2")
         return None
-    if tuple(config.start) != (1, 1, 1):
+    if x0.coords != (1, 1, 1):
         advisories.append("closed-form cross-check skipped: start is not (1:1:1)")
         return None
     if heights.multiplicatively_dependent(a, b):
@@ -450,8 +451,9 @@ def run_scenario(config: ScenarioConfig, name: str = "custom",
 
     fiber = None
     if config.primes and config.targets_per_prime > 0:
-        fiber = degrees.fiber_report(f, config.primes,
-                                     config.targets_per_prime, rng, flags)
+        fiber = degrees.topological_degree_ff(f, config.primes,
+                                              config.targets_per_prime, rng,
+                                              flags)
 
     alpha = None
     if len(rows) >= 4:
@@ -479,7 +481,7 @@ def run_scenario(config: ScenarioConfig, name: str = "custom",
             advisories.append("orbit segment may lie on a low-degree "
                               "hypersurface; genericity is doubtful")
 
-    closed_form = _closed_form_check(config, rows, advisories, flags)
+    closed_form = _closed_form_check(config, x0, rows, advisories, flags)
 
     return ScenarioReport(
         name=name, seed=seed, config=config, rows=rows, orbit=orb,

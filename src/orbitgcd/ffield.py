@@ -9,9 +9,9 @@ of the mod-p screens and the first of elimination.resultant's primes.
 Functions here trust their prime; public entries check outside primes
 with check_prime (probabilistic, error below 2^-64; deterministic below
 3.3e24): experiments.build_scenario checks a config's primes to name the
-bad field, degrees.fiber_report the primes it is handed before it sorts
-out unusable ones, and degrees.topological_degree_ff each prime it
-counts over, so a prime of a `run` config is checked three times.
+bad field, and degrees.topological_degree_ff the primes it is handed
+before it sorts out unusable ones, so a prime of a `run` config is
+checked twice.
 """
 
 from __future__ import annotations

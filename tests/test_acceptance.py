@@ -113,7 +113,8 @@ def test_criterion_3_topological_degrees_by_fiber_counting(capsys):
     failures = []
     modes = []
     for i, (f, want) in enumerate(cases):
-        report = topological_degree_ff(f, primes, 20, rng=random.Random(i))
+        report = topological_degree_ff(f, primes, 20, rng=random.Random(i),
+                                       flags=[])
         modes.append(report.mode)
         if report.mode != want:
             failures.append("map %d: mode %r, want %d" % (i, report.mode, want))

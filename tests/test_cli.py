@@ -271,6 +271,18 @@ def test_closed_form_check_is_skipped_off_the_start_1_1_1(tmp_path, capsys):
         in summary["advisories"]
 
 
+@pytest.mark.parametrize("start", [[2, 2, 2], [-1, -1, -1]])
+def test_closed_form_check_runs_on_every_multiple_of_1_1_1(tmp_path, capsys,
+                                                           start):
+    # each start is the point (1:1:1); the raw config start is not
+    cfg = write_config(tmp_path, "multiple.json",
+                       {**DIAGONAL_CONFIG, "start": start, "n_max": 6})
+    assert main(["run", "--config", cfg, "--format", "json"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["closed_form_check"] == \
+        "verified 6 rows against the diagonal-map closed form"
+
+
 @pytest.mark.parametrize("params", [{"b": "3"}, {"a": "2.5", "b": "3"}],
                          ids=["missing", "not-an-integer"])
 def test_closed_form_parameters_must_be_integers(tmp_path, capsys, params):
@@ -297,6 +309,21 @@ def test_degrees_and_run_share_the_fiber_flags(tmp_path, capsys):
     cfg = write_config(tmp_path, "conic.json", data)
     assert main(["run", "--config", cfg, "--format", "json"]) == 2
     assert flag in json.loads(capsys.readouterr().out)["flags"]
+
+
+def test_degrees_and_run_give_the_same_fiber_counts(tmp_path, capsys):
+    a2 = "x0^2*x1; x1^3 + x0^2*x1 + x0*x2^2; x2^3"
+    assert main(["degrees", "--map", a2, "--n-max", "2", "--primes", "53,59",
+                 "--targets", "20", "--seed", "1"]) == 0
+    counts = json.loads(capsys.readouterr().out)["dN_counts"]
+    data = {"arity": 3, "map": a2, "ideal": ["x0", "x1"], "start": [2, 3, 1],
+            "n_max": 4, "primes": [53, 59], "targets_per_prime": 20,
+            "composition_cap": 9}
+    cfg = write_config(tmp_path, "a2.json", data)
+    assert main(["run", "--config", cfg, "--format", "json",
+                 "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["fiber"] == counts
+    assert counts["by_prime"]["53"] == [[4, 1], [7, 19]]
 
 
 def test_fiber_counting_outside_p2_is_a_flag_in_both_front_ends(

@@ -111,7 +111,7 @@ def test_degree_submultiplicative_across_maps():
 
 def test_fiber_mode_backnonfin_is_six():
     report = topological_degree_ff(pmap(*BACKNONFIN), [1009], 8,
-                                   rng=random.Random(0))
+                                   rng=random.Random(0), flags=[])
     assert report.mode == 6
     assert report.modes == [6]
     assert not report.ambiguous and not report.degenerate
@@ -122,29 +122,31 @@ def test_fiber_mode_backnonfin_is_six():
 
 def test_fiber_mode_coupled_cubic_is_seven():
     f = pmap("x0^2*x1", "x1^3 + x0^2*x1 + x0*x2^2", "x2^3")
-    report = topological_degree_ff(f, [1009], 8, rng=random.Random(1))
+    report = topological_degree_ff(f, [1009], 8, rng=random.Random(1),
+                                   flags=[])
     assert report.mode == 7
     assert not report.ambiguous
 
 
 def test_fiber_mode_power_maps():
     squaring = topological_degree_ff(pmap("x0^2", "x1^2", "x2^2"), [1009], 6,
-                                     rng=random.Random(2))
+                                     rng=random.Random(2), flags=[])
     assert squaring.mode == 4
     cubing = topological_degree_ff(pmap("x0^3", "x1^3", "x2^3"), [1009], 6,
-                                   rng=random.Random(3))
+                                   rng=random.Random(3), flags=[])
     assert cubing.mode == 9
 
 
 def test_fiber_mode_linear_map_is_one():
     f = pmap("2*x0", "3*x1", "x2")
-    report = topological_degree_ff(f, [1009], 6, rng=random.Random(4))
+    report = topological_degree_ff(f, [1009], 6, rng=random.Random(4),
+                                   flags=[])
     assert report.mode == 1
 
 
 def test_fiber_counts_stable_across_primes():
     report = topological_degree_ff(pmap(*BACKNONFIN), [1009, 2003], 5,
-                                   rng=random.Random(5))
+                                   rng=random.Random(5), flags=[])
     assert modes_by_prime(report) == {1009: 6, 2003: 6}
     assert report.samples == 10
 
@@ -156,7 +158,8 @@ def test_coefficients_divisible_by_p_drop_out_of_the_fiber_count():
     reports, draws = [], []
     for f in (wrapped, pmap(*BACKNONFIN)):
         rng = random.Random(3)
-        reports.append(topological_degree_ff(f, [1009], 6, rng=rng).as_dict())
+        reports.append(topological_degree_ff(f, [1009], 6, rng=rng,
+                                             flags=[]).as_dict())
         draws.append(rng.randrange(10 ** 9))
     assert reports[0] == reports[1]
     assert reports[0]["histogram"] == [[6, 6]]
@@ -185,20 +188,54 @@ def test_squaring_fiber_over_unit_target():
     assert rational_fiber_count(f, 53, (1, 1, 1)) == 4
 
 
+A2 = ("x0^2*x1", "x1^3 + x0^2*x1 + x0*x2^2", "x2^3")
+
+
+def fiber_flags(f, primes, targets=4):
+    """The report (or None) and the flags of one fiber count at seed 0."""
+    flags = []
+    report = topological_degree_ff(f, primes, targets, random.Random(0), flags)
+    return report, flags
+
+
 def test_fiber_guards():
     with pytest.raises(ValueError):
-        topological_degree_ff(pmap("x0^2", "x1^2", arity=2), [1009], 4)
-    with pytest.raises(ValueError):
-        topological_degree_ff(pmap(*BACKNONFIN), [47], 4)
-    # 91 = 7 * 13 clears the floor; the primes are checked where they enter
+        fiber_flags(pmap(*BACKNONFIN), [47])
+    # 91 = 7 * 13 clears the floor; every number is checked before any count
     with pytest.raises(ValueError, match="91 is not prime"):
-        topological_degree_ff(pmap(*BACKNONFIN), [1009, 91], 4)
+        fiber_flags(pmap(*BACKNONFIN), [1009, 91])
+    with pytest.raises(ValueError):  # a bad number wins over the arity flag
+        fiber_flags(pmap("x0^2", "x1^2", arity=2), [47])
+    assert fiber_flags(pmap("x0^2", "x1^2", arity=2), [1009]) == (None, [
+        "fiber counting skipped: implemented for maps of P^2 only"])
+    wipe = ("fiber counting skipped prime 53: it divides every coefficient "
+            "of map component 0")
     f = pmap("53*x0^2 + 53*x1^2", "x1^2", "x2^2")
-    with pytest.raises(ValueError, match="wipes out a map component"):
-        topological_degree_ff(f, [53], 1)
-    # by_prime keeps one histogram per prime, so a repeat cannot be counted
-    with pytest.raises(ValueError, match="prime 1009 is repeated"):
-        topological_degree_ff(pmap(*BACKNONFIN), [1009, 1009], 3)
+    assert fiber_flags(f, [53]) == (None, [wipe])
+    report, flags = fiber_flags(f, [53, 1009])
+    assert flags == [wipe] and list(report.by_prime) == [1009]
+    small = "fiber counting skipped prime 53: too small for the degree-8 map"
+    f = pmap("x0^8 + x1*x2^7", "x1^8 - x0*x2^7", "x2^8 + x0*x1^7")
+    assert fiber_flags(f, [53]) == (None, [small])
+    # by_prime keeps one histogram per prime, so a repeat is not counted;
+    # skip flags come in the order of the primes, before the count's flags
+    report, flags = fiber_flags(pmap("x0^2", "x0*x1", "x1^2"), [1009, 1009])
+    assert flags == ["fiber counting skipped prime 1009: repeated",
+                     "fiber counting degenerate (map may fail to be dominant)"]
+    assert report.by_prime == {1009: {0: 4}} and report.samples == 4
+
+
+def test_skipped_prime_draws_nothing():
+    # a2's histogram at 53 holds the counts 4 and 7, so a shifted stream
+    # of targets and shears would change it
+    outs = []
+    for primes in ([53, 53, 59], [53, 59]):
+        rng, flags = random.Random(1), []
+        report = topological_degree_ff(pmap(*A2), primes, 20, rng, flags)
+        outs.append((report.as_dict(), rng.randrange(10 ** 9)))
+    assert outs[0] == outs[1]
+    assert outs[0][0]["by_prime"]["53"] == [[4, 1], [7, 19]]
+    assert outs[0][0]["samples"] == 40
 
 
 def test_fiber_histogram_pinned_for_a_quadratic_with_a_base_point():
@@ -209,7 +246,7 @@ def test_fiber_histogram_pinned_for_a_quadratic_with_a_base_point():
              "-x0^2 + x2^2 - 2*x0*x1 - 2*x1*x2",
              "-2*x0^2 + 2*x0*x1 + 2*x0*x2")
     rng = random.Random(0)
-    report = topological_degree_ff(f, [1009, 2003], 12, rng=rng)
+    report = topological_degree_ff(f, [1009, 2003], 12, rng=rng, flags=[])
     assert report.by_prime == {1009: {3: 12}, 2003: {3: 12}}
     assert report.failed_samples == 0
     assert rng.randrange(10 ** 9) == 728549938
@@ -232,7 +269,7 @@ def test_base_point_in_the_chart_is_stripped_from_the_count(comps, mode, prime):
     # each map has a base point in the chart z = 1, which every eliminant
     # shares; counting it as a fiber point gives mode + 1
     report = topological_degree_ff(pmap(*comps), [prime], 10,
-                                   rng=random.Random(0))
+                                   rng=random.Random(0), flags=[])
     assert report.mode == mode
 
 
