@@ -85,8 +85,8 @@ def degree_sequence(f: RationalMap, n_max: int,
         if current.degree * f.degree > budget:
             truncated = True
             break
-        composed = [poly.compose(c, current.components) for c in f.components]
-        current = projgeom.make_map(composed)
+        current = projgeom.make_map(poly.compose(f.components,
+                                                 current.components))
         entries.append((n, current.degree))
     return DegreeSequence(entries, truncated)
 

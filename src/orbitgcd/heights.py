@@ -170,7 +170,7 @@ def height_ratio_series(f: RationalMap, Y: SubschemeIdeal, x0: ProjPoint,
             from . import elimination  # deferred, as in projgeom.orbit
             if cert is None:
                 cert = elimination.divisor_certificate(
-                    [poly.compose(g, f.components) for g in Y.generators])
+                    poly.compose(Y.generators, f.components))
             Y_n = replace(Y, support=elimination.certified_support(
                 cert, orb.points[n - 1].coords))
         hy = subscheme_height(Y_n, pt)

@@ -321,37 +321,38 @@ def is_homogeneous(p: BigPoly) -> Tuple[bool, Optional[int]]:
     return False, None
 
 
-def compose(p: BigPoly, subst: Sequence[BigPoly]) -> BigPoly:
-    """Substitute subst[i] for x_i in p, for any polynomials p and subst[i]
-    of one arity.  For forms subst[i] of one common degree d and a form p,
-    the result is a form of degree deg(p) * d.
-    """
-    if len(subst) != p.arity:
-        raise ArityMismatch("substitution length %d vs arity %d"
-                            % (len(subst), p.arity))
-    out_arity = subst[0].arity
-    if any(s.arity != out_arity for s in subst):
-        raise ArityMismatch("substitution entries have mixed arities")
-
-    tables: List[Dict[int, BigPoly]] = [{0: const(out_arity, 1)}
-                                        for _ in range(p.arity)]
-
-    def power(i: int, e: int) -> BigPoly:
-        tab = tables[i]
-        top = max(tab)
-        while top < e:
-            tab[top + 1] = mul(tab[top], subst[i])
-            top += 1
-        return tab[e]
-
-    acc = zero(out_arity)
-    for exps, coeff in p.terms.items():
-        term = const(out_arity, coeff)
-        for i, e in enumerate(exps):
-            if e:
-                term = mul(term, power(i, e))
-        acc = add(acc, term)
-    return acc
+def compose(ps: Sequence[BigPoly],
+            subst: Sequence[BigPoly]) -> List[BigPoly]:
+    """Substitute subst[i] for x_i in every p of ps, for a nonempty subst
+    of one arity, through one table of products keyed by exponent tuple: 1
+    for the constant monomial and subst[i] for x_i, and for any other x^e
+    one mul, of the entry of e with its first nonzero exponent lowered by
+    1 times that variable's subst entry.  Forms subst[i] of one degree d
+    take a form p to a form of degree deg(p) * d."""
+    arities = sorted({s.arity for s in subst})
+    if len(arities) != 1 or any(p.arity != len(subst) for p in ps):
+        raise ArityMismatch("substitution of %d entries of arities %s into "
+                            "arities %s" % (len(subst), arities,
+                                            sorted({p.arity for p in ps})))
+    out_arity = arities[0]
+    table: Dict[Exponent, BigPoly] = {(0,) * len(subst): const(out_arity, 1)}
+    for i, s in enumerate(subst):
+        table[tuple(int(j == i) for j in range(len(subst)))] = s
+    out = []
+    for p in ps:
+        acc: TermMap = {}
+        for exps, coeff in p.terms.items():
+            m = [0] * len(subst)  # raised to x^exps, the last variable first
+            for i in reversed(range(len(subst))):
+                for _ in range(exps[i]):
+                    low = tuple(m)
+                    m[i] += 1
+                    if tuple(m) not in table:
+                        table[tuple(m)] = mul(table[low], subst[i])
+            for e, c in table[exps].terms.items():
+                acc[e] = acc.get(e, 0) + coeff * c
+        out.append(_trusted(out_arity, {e: c for e, c in acc.items() if c}))
+    return out
 
 
 def content(p: BigPoly) -> int:

@@ -141,17 +141,16 @@ class _Parser:
             e = int(eval_)
             if e > MAX_EXPONENT:
                 raise PolyParseError("exponent %d exceeds %d" % (e, MAX_EXPONENT), eat)
-            acc = poly.const(self.arity, 1)
-            # square-and-multiply keeps parenthesized bases cheap
-            sq = base
-            k = e
-            while k:
-                if k & 1:
-                    acc = acc * sq
-                k >>= 1
-                if k:
-                    sq = sq * sq
-            return acc
+            # square-and-multiply keeps parenthesized bases cheap; acc
+            # starts at the first square that e needs, with no product by 1
+            acc = None
+            while e:
+                if e & 1:
+                    acc = base if acc is None else acc * base
+                e >>= 1
+                if e:
+                    base = base * base
+            return poly.const(self.arity, 1) if acc is None else acc
         return base
 
     def parse_atom(self) -> BigPoly:

@@ -315,7 +315,7 @@ def test_criterion_8_randomized_property_battery(capsys):
         inners = [rand_homog(inner_arity, inner_degree)
                   for _ in range(outer_arity)]
         pt = [rng.randint(-6, 6) for _ in range(inner_arity)]
-        composed = poly.compose(outer, inners)
+        [composed] = poly.compose([outer], inners)
         direct = poly.eval_int(outer, [poly.eval_int(g, pt) for g in inners])
         if poly.eval_int(composed, pt) != direct:
             failures.append("compose/eval")

@@ -323,7 +323,7 @@ BACKNONFIN = ("x0^2*x1", "x1^3", "x2^3")
 
 def _pulled_back_certificate(f, Y):
     return elimination.divisor_certificate(
-        [poly.compose(g, f.components) for g in Y.generators])
+        poly.compose(Y.generators, f.components))
 
 
 def _series_with_supports(f, Y, x0, n_max):
@@ -519,5 +519,5 @@ def test_nonlinear_ideal_never_builds_the_height_certificate():
         assert series.rows[-1].bits >= projgeom.CERTIFICATE_MIN_BITS
         assert built == []
         height_ratio_series(f, COORD_AXES, make_point((2, 3, 1)), 10)
-    assert built == [tuple(poly.compose(g, f.components)
-                           for g in COORD_AXES.generators)]
+    assert built == [tuple(poly.compose(COORD_AXES.generators,
+                                        f.components))]

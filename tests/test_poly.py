@@ -115,7 +115,7 @@ def test_compose_known_expansion():
     u, v = variable(2, 0), variable(2, 1)
     p = add(mul(u, u), mul(v, v))
     x, y = variable(2, 0), variable(2, 1)
-    out = compose(p, [add(x, y), add(x, neg(y))])
+    [out] = compose([p], [add(x, y), add(x, neg(y))])
     assert out.terms == {(2, 0): 2, (0, 2): 2}
 
 
@@ -123,7 +123,7 @@ def test_compose_degree_multiplies():
     x, y, z = (variable(3, i) for i in range(3))
     subst = [mul(x, y), mul(y, z), add(mul(x, x), mul(y, z))]
     p = add(mul(mul(x, x), y), mul(mul(y, y), z))
-    out = compose(p, subst)
+    [out] = compose([p], subst)
     assert degree(out) == degree(p) * 2
     pt = (3, -2, 5)
     inner = tuple(eval_int(s, pt) for s in subst)
@@ -136,7 +136,7 @@ def test_compose_takes_inhomogeneous_and_unequal_substitutions():
     p = add(mul(x, y), scale(mul(y, y), 3))
     for subst in ([add(mul(x, x), y), y],  # first entry not homogeneous
                   [mul(x, x), y]):  # degrees 2 and 1 differ
-        out = compose(p, subst)
+        [out] = compose([p], subst)
         for pt in [(2, -3), (0, 5), (-7, 4)]:
             inner = [eval_int(s, pt) for s in subst]
             assert eval_int(out, pt) == eval_int(p, inner)
@@ -159,11 +159,46 @@ def test_compose_evaluation_commutes(seed):
             terms[(d, 0)] = 1
         subst.append(BigPoly(arity, terms))
     p = rand_poly(rng, arity=arity, max_terms=4, max_exp=2)
-    out = compose(p, subst)
+    [out] = compose([p], subst)
     pt = (rng.randint(-9, 9), rng.randint(-9, 9))
     inner = tuple(eval_int(s, pt) for s in subst)
     assert eval_int(out, pt) == eval_int(p, inner)
 
+
+
+def test_compose_cancels_to_the_zero_polynomial_and_takes_no_polynomials():
+    x0, x1 = variable(2, 0), variable(2, 1)
+    s = add(x0, x1)
+    [out] = compose([add(mul(x0, x0), neg(mul(x1, x1)))], [s, s])
+    assert out.arity == 2 and out.terms == {}
+    assert compose([], [s, s]) == []
+    with pytest.raises(ArityMismatch):
+        compose([x0], [s])
+    for subst in ([s, variable(3, 0)], []):
+        with pytest.raises(ArityMismatch):
+            compose([], subst)
+
+
+def test_compose_shares_one_product_per_monomial(monkeypatch):
+    # the six quadratic monomials of P^2 cost one product each, of a
+    # substitution entry and another; constants and x_i cost none
+    f = [poly.BigPoly(3, {e: c for e, c in zip(
+        [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)],
+        coeffs)}) for coeffs in [(7, 7, -5, 1, -5, -2), (-9, 7, -5, -1, 4, 7),
+                                 (-1, 1, 7, -9, 4, 4)]]
+    operands = []
+
+    def spy(p, q):
+        operands.append((p, q))
+        return mul(p, q)
+
+    monkeypatch.setattr(poly, "mul", spy)
+    f2 = compose(f, f)
+    assert len(operands) == 6
+    assert all(degree(p) and degree(q) for p, q in operands)
+    pt = (2, -3, 5)
+    inner = [eval_int(c, pt) for c in f]
+    assert [eval_int(c, pt) for c in f2] == [eval_int(c, inner) for c in f]
 
 # ---------------------------------------------------------------------------
 # content, primitive part, exact division

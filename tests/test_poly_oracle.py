@@ -226,15 +226,76 @@ def test_compose_matches_sympy_on_a2_fourth_iterate():
     f = projgeom.make_map([polyparse.parse(t, 3) for t in A2.split(";")])
     f3 = f
     for _ in range(2):
-        f3 = projgeom.make_map([compose(c, f3.components)
-                                for c in f.components])
+        f3 = projgeom.make_map(compose(f.components, f3.components))
     assert sorted(len(c.terms) for c in f3.components) == [1, 27, 90]
     images = [sympy.Poly.from_dict(c.terms, *GENS, domain="ZZ")
               for c in f3.components]
-    for c in f.components:
+    for c, got in zip(f.components, compose(f.components, f3.components)):
         want = sum(coeff * math.prod(g ** e for g, e in zip(images, exps))
                    for exps, coeff in c.terms.items())
-        assert compose(c, f3.components).terms == sympy_terms(want)
+        assert got.terms == sympy_terms(want)
+
+
+@st.composite
+def compositions(draw):
+    """1-4 polynomials in 2-3 variables, all forms of one degree or all
+    drawn below a degree with the constant among their monomials, from a
+    shared pool of at most five monomials, any of them possibly 0; and a
+    substitution of forms or non-forms in 2-3 variables."""
+    arity, out_arity = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    form = draw(st.booleans())
+    pool = draw(st.lists(st.sampled_from(exponents(arity, draw(
+        st.integers(1, 3)), form)), min_size=1, max_size=5, unique=True))
+    coeffs = st.sampled_from([c for c in range(-9, 10) if c])
+    ps = [BigPoly(arity, draw(st.dictionaries(st.sampled_from(pool), coeffs,
+                                              max_size=4)))
+          for _ in range(draw(st.integers(1, 4)))]
+    subst = [draw(polys(out_arity, draw(st.booleans()), 2))
+             for _ in range(arity)]
+    return ps, subst
+
+
+def composition_cases(ps, subst):
+    monomials = [e for p in ps for e in p.terms]
+    cases = set()
+    if len({sum(e) for e in monomials}) == 1:
+        cases.add("forms")
+    if any(not any(e) for e in monomials):
+        cases.add("constant term")
+    if not all(ps):
+        cases.add("zero polynomial")
+    if len(set(monomials)) < len(monomials):
+        cases.add("shared monomial")
+    if subst[0].arity != len(subst):
+        cases.add("other arity")
+    return cases
+
+
+@settings(max_examples=200, deadline=None)
+@given(compositions())
+def test_compose_matches_sympy(ps_subst):
+    ps, subst = ps_subst
+    for case in composition_cases(ps, subst):
+        event(case)
+    gens = sympy.symbols("x0:%d" % subst[0].arity)
+    images = [sympy.Poly.from_dict(s.terms, *gens, domain="ZZ")
+              for s in subst]
+    got = compose(ps, subst)
+    assert len(got) == len(ps)
+    for p, out in zip(ps, got):
+        want = sympy.Poly(0, *gens, domain="ZZ")
+        for exps, coeff in p.terms.items():
+            want += coeff * math.prod((g ** e for g, e in zip(images, exps)),
+                                      start=sympy.Poly(1, *gens, domain="ZZ"))
+        assert out.arity == subst[0].arity
+        assert out.terms == sympy_terms(want)
+
+
+@pytest.mark.parametrize("case", ["forms", "constant term", "zero polynomial",
+                                  "shared monomial", "other arity"])
+def test_compositions_reach_every_case(case):
+    find(compositions(), lambda ps_subst: case in composition_cases(*ps_subst),
+         settings=settings(database=None, phases=[Phase.generate]))
 
 
 @st.composite
@@ -379,9 +440,8 @@ def test_gcd_multivar_matches_sympy_on_unreduced_iterates(map_text, n):
     f = projgeom.make_map([polyparse.parse(t, 3) for t in map_text.split(";")])
     prev = f
     for _ in range(n - 2):
-        prev = projgeom.make_map([compose(c, prev.components)
-                                  for c in f.components])
-    comps = [compose(c, prev.components) for c in f.components]
+        prev = projgeom.make_map(compose(f.components, prev.components))
+    comps = compose(f.components, prev.components)
     for p, q in itertools.combinations(comps, 2):
         assert gcd_multivar(p, q).terms == sympy_gcd_terms(p, q)
 

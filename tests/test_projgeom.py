@@ -98,7 +98,7 @@ def test_apply_and_base_locus():
 
 def test_iterate_map_degrees():
     f = pmap("x0^2*x1", "x1^3", "x2^3")
-    f2 = make_map([compose(c, f.components) for c in f.components])
+    f2 = make_map(compose(f.components, f.components))
     assert f2.degree == 9
     # the reduced f o f evaluates like two steps of f
     x = make_point((3, 2, 1))
