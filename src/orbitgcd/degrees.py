@@ -49,16 +49,20 @@ _RANK_PRIMES = (ffield.WORD_PRIME, 1000000000000000009, 999999999999999989)
 @dataclass
 class DegreeSequence:
     """Degrees of reduced iterates; truncated marks a budget stop, and a
-    last entry of degree 0 marks a constant iterate."""
+    last entry of degree 0 marks a constant iterate.  zero_components
+    lists the indices of the map's components that are identically 0."""
     entries: List[Tuple[int, int]]  # (n, deg f^n)
     truncated: bool
+    zero_components: List[int] = field(default_factory=list)
 
     def with_roots(self) -> List[Tuple[int, int, float]]:
         return [(n, d, d ** (1.0 / n)) for n, d in self.entries]
 
     def flags(self) -> List[str]:
-        """The flags of a budget stop and of a constant iterate."""
-        out = []
+        """The flags of a zero component, a budget stop and a constant
+        iterate."""
+        out = ["map component %d is identically zero (the map is not "
+               "dominant)" % i for i in self.zero_components]
         if self.truncated:
             out.append("degree sequence truncated by the composition budget")
         n, d = self.entries[-1]
@@ -88,7 +92,8 @@ def degree_sequence(f: RationalMap, n_max: int,
         current = projgeom.make_map(poly.compose(f.components,
                                                  current.components))
         entries.append((n, current.degree))
-    return DegreeSequence(entries, truncated)
+    return DegreeSequence(entries, truncated,
+                          [i for i, c in enumerate(f.components) if not c])
 
 
 def d1_estimate(seq: DegreeSequence) -> float:

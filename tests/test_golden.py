@@ -34,6 +34,14 @@ DEGREES_ARGV = ["degrees", "--map", "x0^2*x1; x1^3; x2^3",
                 "--primes", "1009,2003", "--targets", "10", "--seed", "0"]
 DEGREES_DIGEST = "bb4664d530724a9dc880b38722de92c03e9d1f2071eea5893e7bd585b4f795ae"
 
+# every component has all six quadratic monomials, so each iterate is
+# composed from dense products
+DENSE_ARGV = ["degrees", "--n-max", "3", "--map",
+              "7*x0^2 + 7*x0*x1 - 5*x0*x2 + x1^2 - 5*x1*x2 - 2*x2^2; "
+              "-9*x0^2 + 7*x0*x1 - 5*x0*x2 - x1^2 + 4*x1*x2 + 7*x2^2; "
+              "-x0^2 + x0*x1 + 7*x0*x2 - 9*x1^2 + 4*x1*x2 + 4*x2^2"]
+DENSE_DIGEST = "c7413c5a1a33022841ba0b2549fc9b9d192b3baccd4edd82c39f3a90a975deb7"
+
 
 def _stdout_digest(capsys, argv):
     code = main(argv)
@@ -50,3 +58,7 @@ def test_builtin_run_output_is_pinned(capsys, scenario, fmt, seed):
 
 def test_degrees_output_is_pinned(capsys):
     assert _stdout_digest(capsys, DEGREES_ARGV) == (0, DEGREES_DIGEST)
+
+
+def test_dense_degrees_output_is_pinned(capsys):
+    assert _stdout_digest(capsys, DENSE_ARGV) == (0, DENSE_DIGEST)
