@@ -231,6 +231,7 @@ def test_zero_component_is_flagged_as_not_dominant(tmp_path, capsys):
     assert payload["flags"] == [flag]
     assert payload["d1_sequence"] == [[1, 2, 2.0], [2, 4, 2.0], [3, 8, 2.0]]
 
+
 def test_zero_height_after_a_positive_one_does_not_crash(tmp_path, capsys):
     # h(f^3 x) = 0 < h(f^2 x), a quotient with no logarithm
     data = {"arity": 3, "map": "x2 - 2*x0; 53*x0; x2",

@@ -165,7 +165,6 @@ def test_compose_evaluation_commutes(seed):
     assert eval_int(out, pt) == eval_int(p, inner)
 
 
-
 def test_compose_cancels_to_the_zero_polynomial_and_takes_no_polynomials():
     x0, x1 = variable(2, 0), variable(2, 1)
     s = add(x0, x1)
@@ -182,7 +181,7 @@ def test_compose_cancels_to_the_zero_polynomial_and_takes_no_polynomials():
 def test_compose_shares_one_product_per_monomial(monkeypatch):
     # the six quadratic monomials of P^2 cost one product each, of a
     # substitution entry and another; constants and x_i cost none
-    f = [poly.BigPoly(3, {e: c for e, c in zip(
+    f = [BigPoly(3, {e: c for e, c in zip(
         [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)],
         coeffs)}) for coeffs in [(7, 7, -5, 1, -5, -2), (-9, 7, -5, -1, 4, 7),
                                  (-1, 1, 7, -9, 4, 4)]]
@@ -199,6 +198,7 @@ def test_compose_shares_one_product_per_monomial(monkeypatch):
     pt = (2, -3, 5)
     inner = [eval_int(c, pt) for c in f]
     assert [eval_int(c, pt) for c in f2] == [eval_int(c, inner) for c in f]
+
 
 # ---------------------------------------------------------------------------
 # content, primitive part, exact division

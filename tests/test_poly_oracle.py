@@ -238,10 +238,10 @@ def test_compose_matches_sympy_on_a2_fourth_iterate():
 
 @st.composite
 def compositions(draw):
-    """1-4 polynomials in 2-3 variables, all forms of one degree or all
-    drawn below a degree with the constant among their monomials, from a
-    shared pool of at most five monomials, any of them possibly 0; and a
-    substitution of forms or non-forms in 2-3 variables."""
+    """1-4 polynomials in 2-3 variables, any of them possibly 0, whose
+    terms come from one shared pool of at most five monomials, drawn from
+    those of one degree d <= 3 or from all of degree <= d, the constant
+    included; and a substitution of forms or non-forms in 2-3 variables."""
     arity, out_arity = draw(st.integers(2, 3)), draw(st.integers(2, 3))
     form = draw(st.booleans())
     pool = draw(st.lists(st.sampled_from(exponents(arity, draw(
