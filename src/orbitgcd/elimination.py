@@ -1,9 +1,26 @@
 """Resultants of forms in three variables from their images mod word
 primes, and the divisor certificate built from them.
 
-projgeom and heights import this module at the first orbit point large
-enough for a certificate, so starting the command line does not load it.
-The certificate itself is described in the projgeom module docstring.
+The certificate bounds the primes of g = gcd_i f_i(x) for forms f_i of
+one common degree d in three variables.  For each variable x_k and each
+pair of forms, the resultant R = Res_{x_k}(f_i, f_j) over Z is a binary
+form in the other two variables.  If either form involves x_k, R =
+A*f_i + B*f_j, so every prime of g divides R(x), and with c the content
+of R, every prime of R(x) divides c * S(x) for the primitive squarefree
+part S of R / c.  A constant R is dropped: 0 for a pair that shares a
+factor, 1 for a pair free of x_k.  Only forms with deg S < d are kept,
+since only then is c * S(x) smaller than the values.  The gcd G of the
+kept c * S(x) bounds the primes of g: G = 1 proves g = 1, and otherwise
+g comes from gcds of G with the values.  Off P^2, for forms with no kept
+S, and where every kept c * S(x) is 0, the support is 0 and gives no
+bound.
+
+projgeom.orbit builds the certificate of the map's components, and
+heights.height_ratio_series that of the linear generators of Y composed
+with the map, at the first point with projgeom.CERTIFICATE_MIN_BITS
+bits, where the full gcd starts to cost more than the build.  They
+import this module only then, so starting the command line does not
+load it.
 """
 
 from __future__ import annotations

@@ -21,10 +21,10 @@ the exponent and top bits), so no manual bit-length splitting is needed.
 
 Along an orbit x_n = f(x_{n-1}) / c, every prime of gcd_j g_j(x_n) makes
 x_{n-1} a common zero mod p of the forms g_j o f, so it divides the
-support at x_{n-1} of their divisor certificate (projgeom).  A support of
-1 proves the gcd is 1 without the full-size gcd.  height_ratio_series
-uses it for maps of P^2 and linear generators, from
-projgeom.CERTIFICATE_MIN_BITS on.
+support at x_{n-1} of their divisor certificate (elimination).  A support
+of 1 proves the gcd is 1 without the full-size gcd.  height_ratio_series
+uses it for linear generators, from projgeom.CERTIFICATE_MIN_BITS on; off
+P^2 the certificate is empty, its support 0, and the full gcd runs.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def height_ratio_series(f: RationalMap, Y: SubschemeIdeal, x0: ProjPoint,
     """One HeightRow per point of the orbit of x0; the truncation and
     periodicity flags stay on the orbit."""
     orb = projgeom.orbit(f, x0, n_max)
-    pull_back = f.arity == 3 and all(poly.degree(g) == 1 for g in Y.generators)
+    pull_back = all(poly.degree(g) == 1 for g in Y.generators)
     cert = None  # of the forms g_j o f, built at the first large point
     rows: List[HeightRow] = []
     for n, pt in enumerate(orb.points):

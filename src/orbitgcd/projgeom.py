@@ -3,33 +3,20 @@
 Points are stored in the canonical representative: integer homogeneous
 coordinates with gcd 1 whose first nonzero entry is positive.  Maps are
 tuples of N+1 homogeneous polynomials of one common degree, reduced so
-that the components share no polynomial factor; evaluation at a point
-either produces the image point or signals indeterminacy when every
-component vanishes (the set-theoretic base locus of the reduced tuple).
-The last point of an orbit needs no image, only that zero test, so it is
-evaluated at its coordinates mod ffield.WORD_PRIME first: a value nonzero
-mod that prime proves the point outside the base locus, and only when
-every one is 0 are the components evaluated exactly.
+that the components share no polynomial factor; a point where every
+component vanishes lies in the indeterminacy locus (the set-theoretic
+base locus of the reduced tuple).
 
-An orbit step divides the values f_i(x) by g = gcd_i f_i(x), the
-generalized gcd of x along the base scheme of f.  For a map of P^2 a
-divisor certificate skips the full-size gcd: for each variable x_k and
-each pair of components, the resultant R = Res_{x_k}(f_i, f_j) over Z
-(elimination.resultant) is a binary form in the other two variables.  If
-either form involves x_k, R = A*f_i + B*f_j, so every prime of g divides
-R(x), and with c the content of R, every prime of R(x) divides c * S(x)
-for the primitive squarefree part S of R / c.  A constant R is dropped: 0
-for a pair that shares a factor, 1 for a pair free of x_k.  Only forms
-with deg S < deg f are kept, since only then is c * S(x) smaller than the
-values.  The gcd G of the kept c * S(x) bounds the primes of g: G = 1
-proves g = 1, and otherwise g comes from gcds of G with the values.
-The certificate is built, by orbitgcd.elimination, the first time a
-step's smallest nonzero value reaches CERTIFICATE_MIN_BITS, where the
-full gcd starts to cost more than the build.  Below that size, for other
-arities, for maps with no kept form, and where every kept c * S(x) is 0,
-the smallest nonzero |value| stands in for G (make_point's default
-support); either way the point is the same.  heights builds the same
-certificate for the generators of Y composed with f.
+An orbit step first makes that zero test at the current point, mod
+ffield.WORD_PRIME: a value nonzero at the residues proves the point
+outside the base locus, and only when every one is 0 are the components
+evaluated exactly.  A point outside it that needs an image is evaluated
+exactly, and the values f_i(x) are divided by g = gcd_i f_i(x), the
+generalized gcd of x along the base scheme of f.  From
+CERTIFICATE_MIN_BITS on, the divisor certificate of f
+(orbitgcd.elimination) gives make_point a support for g; below that
+size, or where the certificate's support is 0, the smallest nonzero
+|value| stands in.  Either way the point is the same.
 """
 
 from __future__ import annotations
@@ -242,11 +229,10 @@ def _in_base_locus(f: RationalMap, coords: Coords) -> bool:
 def orbit(f: RationalMap, x0: ProjPoint, n_max: int) -> OrbitResult:
     """Successive images of x0, stopping at n_max, indeterminacy, or a cycle.
 
-    Points before x_{n_max} are evaluated exactly, since their values give
-    the next point; from CERTIFICATE_MIN_BITS on, the divisor certificate
-    of f bounds their common factor.  x_{n_max} itself is only tested for
-    indeterminacy, by residues mod ffield.WORD_PRIME with an exact fallback
-    when all of them are 0.
+    Every point is tested for indeterminacy by _in_base_locus; f is then
+    evaluated exactly only when a next point is needed, and from
+    CERTIFICATE_MIN_BITS on the divisor certificate of f bounds the
+    common factor of the values.
     """
     if f.arity != x0.arity:
         raise ValueError("map arity %d vs point arity %d" % (f.arity, x0.arity))
@@ -260,18 +246,14 @@ def orbit(f: RationalMap, x0: ProjPoint, n_max: int) -> OrbitResult:
             result.periodic = True
             result.period_start = seen[key]
             break
-        if n == n_max:
-            if _in_base_locus(f, key):
-                result.indeterminate_at = n
-            else:
-                result.points.append(current)
-            break
-        values = [poly.eval_int(c, key) for c in f.components]
-        if all(v == 0 for v in values):
+        if _in_base_locus(f, key):
             result.indeterminate_at = n
             break
         seen[key] = n
         result.points.append(current)
+        if n == n_max:
+            break
+        values = [poly.eval_int(c, key) for c in f.components]
         support = 0
         if min(v.bit_length() for v in values if v) >= CERTIFICATE_MIN_BITS:
             from . import elimination  # deferred: most orbits never need it

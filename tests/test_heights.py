@@ -521,3 +521,17 @@ def test_nonlinear_ideal_never_builds_the_height_certificate():
         height_ratio_series(f, COORD_AXES, make_point((2, 3, 1)), 10)
     assert built == [tuple(poly.compose(COORD_AXES.generators,
                                         f.components))]
+
+
+def test_linear_ideal_off_p2_keeps_the_plain_gcd():
+    # off P^2 the pulled-back certificate is empty, so every support is 0
+    # and each gcd is the plain one, here of 3^N - 1 and 5^N - 1, both even
+    f = pmap("x0^2", "x1^2", "x2^2", "x3^2", arity=4)
+    Y = ideal("x0 - x3", "x1 - x3", arity=4)
+    series, supports = _series_with_supports(f, Y, make_point((3, 5, 7, 1)),
+                                             15)
+    assert series.rows[-2].bits >= projgeom.CERTIFICATE_MIN_BITS
+    assert supports == [0] * 16
+    for row, pt in zip(series.rows, series.orbit.points):
+        values = [poly.eval_int(g, pt.coords) for g in Y.generators]
+        assert row.height.gcd_value == math.gcd(*values) > 1

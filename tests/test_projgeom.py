@@ -169,11 +169,11 @@ def test_orbit_last_point_with_all_residues_zero_is_emitted():
     assert res.indeterminate_at is None
 
 
-def test_orbit_evaluates_the_last_point_exactly_only_when_residues_vanish(
-        monkeypatch):
-    # eval_int sees the exact coordinates of every point with an image,
-    # then the residues mod P of the last point; its exact coordinates
-    # only when every component is 0 at those residues
+def test_orbit_evaluates_each_point_at_its_residues_first(monkeypatch):
+    # eval_int sees each point's residues mod P until a component is
+    # nonzero there, its exact coordinates only when every one is 0, and
+    # then, unless it is the last point, its exact coordinates once per
+    # component for the image
     evaluated = []
     eval_int = projgeom.poly.eval_int
     monkeypatch.setattr(projgeom.poly, "eval_int", lambda p, pt: (
@@ -182,15 +182,19 @@ def test_orbit_evaluates_the_last_point_exactly_only_when_residues_vanish(
     f = pmap("x0^2*x1", "x1^3", "x2^3")
     res = orbit(f, make_point((3, 2, 1)), 6)
     assert len(res.points) == 7
-    last = res.points[-1].coords
-    residues = tuple(c % P for c in last)
-    assert residues != last  # the last point is larger than P
-    steps = [pt.coords for pt in res.points[:-1] for _ in range(3)]
-    assert evaluated[:len(steps)] == steps
-    assert evaluated[len(steps):] == [residues]  # f_0 is nonzero mod P
+    residues = [tuple(c % P for c in pt.coords) for pt in res.points]
+    assert residues[-1] != res.points[-1].coords  # larger than P
+    expected = []
+    for pt, r in zip(res.points[:-1], residues):
+        expected += [r] + [pt.coords] * 3  # f_0 is nonzero mod P
+    assert evaluated == expected + [residues[-1]]
+    # (P : 2P : 1) has values P, 2P, 2P^2, all 0 mod P but none 0; its
+    # image (1 : 2 : 2P) is nonzero mod P only at f_2 = x0*x1
     evaluated.clear()
-    orbit(pmap("x0*x2", "x1*x2", "x0*x1"), make_point((P, 2 * P, 1)), 0)
-    assert evaluated == [(0, 0, 1)] * 3 + [(P, 2 * P, 1)]
+    res = orbit(pmap("x0*x2", "x1*x2", "x0*x1"), make_point((P, 2 * P, 1)), 1)
+    assert res.points == [make_point((P, 2 * P, 1)), make_point((1, 2, 2 * P))]
+    assert evaluated == ([(0, 0, 1)] * 3 + [(P, 2 * P, 1)] * 4
+                         + [(1, 2, 0)] * 3)
 
 
 _RESIDUE_MAPS = [("x1^2", "x0*x2", "x0*x1"), ("x0*x2", "x1*x2", "x0*x1"),
@@ -252,6 +256,12 @@ _COORD = st.one_of(st.integers(-3, 3),
        free=st.lists(_COORD, min_size=3, max_size=3),
        shift=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
        n_max=st.integers(0, 3))
+# x0*x2, x1*x2, x0*x1 (planted at (1 : 0 : 0)) from (P : 2P : 1), whose
+# values all vanish mod P, to the 2-cycle with (1 : 2 : 2P)
+@example(q=[1, 0, 0], coeffs=[[0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0],
+                              [0, 0, 0, 0, 1, 0]],
+         start="free", free=[WORD_PRIME, 2 * WORD_PRIME, 1], shift=[0, 0, 0],
+         n_max=3)
 def test_orbit_matches_exact_evaluation_at_every_point(q, coeffs, start, free,
                                                        shift, n_max):
     assume(any(q))
