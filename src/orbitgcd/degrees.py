@@ -309,16 +309,18 @@ def topological_degree_ff(f: RationalMap, primes: Sequence[int],
                           targets_per_prime: int, rng: random.Random,
                           flags: List[str]) -> Optional[FiberCountReport]:
     """Histogram of geometric fiber sizes over random targets; the mode
-    estimates the topological degree.  None when no prime is usable.
+    estimates the topological degree.  None when the map or every prime
+    is skipped.
 
     Targets are drawn from the affine chart (a : b : 1), which covers all
     but a null set of P^2(F_p).  Each trouble appends to flags: a map that
-    is not of P^2 is skipped; a prime p is skipped, drawing nothing from
-    rng, when it repeats an earlier one, when p <= d^2 + 1 (an eliminant
-    interpolates through up to d^2 + 1 points of F_p) or when p divides
-    every coefficient of some component; then ties in the histogram (an
-    ambiguous mode, all reported) and a degenerate count are flagged.
-    Raises ValueError for a number that ffield.check_prime rejects.
+    is not of P^2, or has an identically zero component, is skipped; a
+    prime p is skipped when it repeats an earlier one, when p <= d^2 + 1
+    (an eliminant interpolates through up to d^2 + 1 points of F_p) or
+    when p divides every coefficient of some component; nothing skipped
+    draws from rng.  Then ties in the histogram (an ambiguous mode, all
+    reported) and a degenerate count are flagged.  Raises ValueError for
+    a number that ffield.check_prime rejects.
     """
     for prime in primes:
         ffield.check_prime(prime)
@@ -326,6 +328,11 @@ def topological_degree_ff(f: RationalMap, primes: Sequence[int],
         flags.append("fiber counting skipped: implemented for maps of P^2 "
                      "only")
         return None
+    for i, comp in enumerate(f.components):
+        if not comp.terms:
+            flags.append("fiber counting skipped: map component %d is "
+                         "identically zero" % i)
+            return None
     bound = f.degree * f.degree
     by_prime: Dict[int, Dict[int, int]] = {}
     overall: Counter = Counter()

@@ -225,6 +225,15 @@ def test_fiber_guards():
     assert report.by_prime == {1009: {0: 4}} and report.samples == 4
 
 
+def test_zero_component_is_flagged_once_before_any_prime():
+    rng, flags = random.Random(0), []
+    assert topological_degree_ff(pmap("x0^2", "0", "x2^2"), [1009, 2003], 4,
+                                 rng, flags) is None
+    assert flags == ["fiber counting skipped: map component 1 is "
+                     "identically zero"]
+    assert rng.getstate() == random.Random(0).getstate()
+
+
 def test_skipped_prime_draws_nothing():
     # a2's histogram at 53 holds the counts 4 and 7, so a shifted stream
     # of targets and shears would change it
