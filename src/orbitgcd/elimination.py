@@ -11,16 +11,16 @@ part S of R / c.  A constant R is dropped: 0 for a pair that shares a
 factor, 1 for a pair free of x_k.  Only forms with deg S < d are kept,
 since only then is c * S(x) smaller than the values.  The gcd G of the
 kept c * S(x) bounds the primes of g: G = 1 proves g = 1, and otherwise
-g comes from gcds of G with the values.  Off P^2, for forms with no kept
-S, and where every kept c * S(x) is 0, the support is 0 and gives no
-bound.
+g comes from gcds of G with the values.  The certificate is empty for
+forms not in three variables and for forms with no kept S; its support
+is 0, and gives no bound, there and where every kept c * S(x) is 0.
 
-projgeom.orbit builds the certificate of the map's components, and
-heights.height_ratio_series that of the linear generators of Y composed
-with the map, at the first point with projgeom.CERTIFICATE_MIN_BITS
-bits, where the full gcd starts to cost more than the build.  They
-import this module only then, so starting the command line does not
-load it.
+projgeom.orbit builds the certificate of the map's components the first
+time a step's smallest nonzero value has projgeom.CERTIFICATE_MIN_BITS
+bits, and heights.height_ratio_series that of the linear generators of Y
+composed with the map at the first row n >= 1 whose point has that many;
+below that size the full gcd costs less than the build.  They import
+this module only then, so starting the command line does not load it.
 """
 
 from __future__ import annotations

@@ -219,33 +219,27 @@ def test_non_dominant_map_exits_two_with_a_flag(tmp_path, capsys, map_text, n):
 
 def test_zero_component_is_flagged_as_not_dominant(tmp_path, capsys):
     # the image of (0 : x1^2 : x2^2) lies in the hyperplane x0 = 0, though
-    # every iterate keeps degree 2^n
+    # every iterate keeps degree 2^n; fiber counting is skipped once, for
+    # the map, before any prime is tried
     flag = "map component 0 is identically zero (the map is not dominant)"
+    skip = "fiber counting skipped: map component 0 is identically zero"
     data = {"arity": 3, "map": "0; x1^2; x2^2", "ideal": ["x0", "x1"],
             "start": [1, 2, 3], "n_max": 4}
     cfg = write_config(tmp_path, "zero.json", data)
     assert main(["run", "--config", cfg, "--format", "json"]) == 2
     assert json.loads(capsys.readouterr().out)["flags"] == [flag]
+    cfg = write_config(tmp_path, "fibers.json", dict(
+        data, primes=[1009, 2003], targets_per_prime=4))
+    assert main(["run", "--config", cfg, "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["flags"] == [flag, skip]
     assert main(["degrees", "--map", "0; x1^2; x2^2", "--n-max", "3"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["flags"] == [flag]
     assert payload["d1_sequence"] == [[1, 2, 2.0], [2, 4, 2.0], [3, 8, 2.0]]
-
-
-def test_zero_component_skips_fiber_counting_once(tmp_path, capsys):
-    # the zero component is the map's trouble, not any prime's
-    flags = ["map component 0 is identically zero (the map is not dominant)",
-             "fiber counting skipped: map component 0 is identically zero"]
     assert main(["degrees", "--map", "0; x1^2; x2^2", "--n-max", "2",
                  "--primes", "1009,2003"]) == 2
     payload = json.loads(capsys.readouterr().out)
-    assert payload["flags"] == flags and "dN_counts" not in payload
-    data = {"arity": 3, "map": "0; x1^2; x2^2", "ideal": ["x0", "x1"],
-            "start": [1, 2, 3], "n_max": 4, "primes": [1009, 2003],
-            "targets_per_prime": 4}
-    cfg = write_config(tmp_path, "zero.json", data)
-    assert main(["run", "--config", cfg, "--format", "json"]) == 2
-    assert json.loads(capsys.readouterr().out)["flags"] == flags
+    assert payload["flags"] == [flag, skip] and "dN_counts" not in payload
 
 
 def test_zero_height_after_a_positive_one_does_not_crash(tmp_path, capsys):
